@@ -30,14 +30,16 @@ from quiet import MIN_OPS, probe
 from tracer import ModuleProxy, Tracer, clock
 
 
+#: Chunks per campaign: enough that a campaign's opening (store
+#: directory, factor sampling) lands on few chunk timings.
+CHUNKS = 50
+
+
 @dataclass(frozen=True)
 class CampaignWorkload:
     space: str
     #: Platforms per chunk (``None``: ``run_campaign``'s default).
     chunk_size: int | None
-    #: Chunks per campaign: enough that a campaign's opening (store
-    #: directory, factor sampling) lands on few chunk timings.
-    chunks: int = 50
 
 
 WORKLOADS = {
@@ -66,10 +68,9 @@ def campaign_spec(workload: str, seed: int, number: int, chunks: int | None = No
     """Campaign ``number`` of a seed (-1: the warm-up): the inputs come from the seed."""
     from repro.scenarios import named_space
 
-    shape = WORKLOADS[workload]
-    return named_space(shape.space).derive(
+    return named_space(WORKLOADS[workload].space).derive(
         name=f"perfbench-{workload}",
-        count=chunk_size(workload) * (chunks or shape.chunks),
+        count=chunk_size(workload) * (chunks or CHUNKS),
         seed=(seed % 2**31) * 1000 + number + 1,
     )
 

@@ -15,8 +15,9 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from repro.workloads.matrices import MatrixProductWorkload
+from repro.workloads.platforms import campaign_factors
 
-from quiet import probe
 from tracer import clock
 
 #: Share of requests that ask about a platform nobody asked about before.
@@ -25,6 +26,9 @@ FRESH_SHARE = 0.3
 TWO_PORT_SHARE = 0.25
 #: Worker counts of fresh platforms and their probabilities.
 WORKER_COUNTS = ((11, 0.8), (5, 0.1), (25, 0.1))
+#: Fresh platforms are fully heterogeneous stars costed for this matrix
+#: product, as in the repository's query-service benchmark.
+MATRIX = MatrixProductWorkload(120)
 #: Repeats pick among this many most recent fresh platforms ...
 RECENT = 64
 #: ... except the newest few, which another client thread may still be
@@ -50,19 +54,15 @@ class QueryStream:
         rng = self._rng
         sizes, weights = zip(*WORKER_COUNTS)
         q = int(rng.choice(sizes, p=weights))
-        comm = rng.uniform(1.0, 10.0, q)
+        (factors,) = campaign_factors("hetero-star", 1, size=q, seed=int(rng.integers(2**31)))
         payload = {
             "platform": {
-                f"P{k + 1}": {
-                    "c": 0.01 * comm[k],
-                    "w": 0.1 * rng.uniform(1.0, 10.0),
-                    "d": 0.005 * comm[k],
-                }
-                for k in range(q)
+                worker.name: {"c": worker.c, "w": worker.w, "d": worker.d}
+                for worker in factors.platform(MATRIX).workers
             },
             "one_port": bool(rng.random() >= TWO_PORT_SHARE),
         }
-        request = Request(self._count, json.loads(json.dumps(payload)))
+        request = Request(self._count, payload)
         self._count += 1
         self._recent.append(request)
         return request
@@ -106,8 +106,6 @@ class Record:
     end: float
     status: int | None
     body: bytes
-    #: Seconds the quiet-machine probe took just before the request.
-    calm: float = 0.0
 
 
 def drive(
@@ -134,7 +132,6 @@ def drive(
                         return
                     sent += 1
                     request = stream.next()
-                calm = probe()
                 began = clock()
                 try:
                     status, body = post(connection, "/v1/query", request.payload)
@@ -142,7 +139,7 @@ def drive(
                     status, body = None, repr(error).encode()
                     connection.close()
                     connection = connect(port)
-                records.append(Record(request, began, clock(), status, body, calm))
+                records.append(Record(request, began, clock(), status, body))
         finally:
             connection.close()
 

@@ -8,21 +8,30 @@ runs however long the run.  The slow-down is one-sided (interference only
 adds time) and not a property of the program, so the end-to-end figures
 come from the part of the run where the machine was quietest:
 
-* before each operation the benchmark times a fixed loop, the *probe*;
-* the run's operations, in order, form blocks of ``BLOCK``;
-* the quarter of the blocks with the fastest mean probe is kept, and the
-  throughput and latency percentiles are computed over their operations.
+* before each campaign chunk the campaign process times a fixed loop, the
+  *probe*;
+* the run's chunks, in order, form blocks of ``BLOCK``;
+* a block is as quiet as its slowest probe, counting the probe before each
+  of its chunks and the one after its last: the machine was quiet through
+  the block only if every probe around its chunks was fast;
+* the quietest quarter of the blocks is kept, and the throughput and
+  latency percentiles are computed over their chunks.
 
-The probe is independent of the operations, so the choice of blocks does
-not favour cheap inputs.  Keeping 100 operations needs ``MIN_OPS`` per run:
-then the 90th percentile has 10 samples beyond it.
+The probe runs between chunks, in the same process, while nothing else of
+the benchmark runs, so it does not depend on the chunk it precedes and the
+choice of blocks does not favour cheap inputs.  Keeping 100 chunks needs
+``MIN_OPS`` per run: then the 90th percentile has 10 samples beyond it.
+Over 60-second ``campaign-lp`` runs, ranking blocks by their slowest probe
+rather than their mean probe cut the spread of ``op_p90_ms`` between
+12-second windows from 0.078 to 0.032.
 
 The machine's quiet speed itself drifts over hours: on the reference VM the
 quiet probe went from 0.150 ms to 0.198 ms between two afternoon hours, and
 a quiet ``campaign-lp`` chunk from 14.0 ms to 18.1 ms with it.  So times
 spent on the CPU are scaled by ``REFERENCE_PROBE / probe``: they read as on
 the reference machine at its quiet speed, and a drift that slows probe and
-program alike cancels out.
+program alike cancels out.  Start-ups are scaled by probes the benchmark
+takes while no child process runs.
 """
 
 from __future__ import annotations
@@ -34,7 +43,8 @@ from tracer import clock
 
 BLOCK = 10
 KEEP = 4  # keep one block in KEEP
-MIN_OPS = 100 * KEEP
+#: 100 kept operations, and the probe after the last block.
+MIN_OPS = 100 * KEEP + 1
 #: The probe's quiet time on the reference machine, in seconds.
 REFERENCE_PROBE = 150e-6
 
@@ -51,11 +61,15 @@ def probe() -> float:
 
 
 def quietest(ops: Sequence[T], probes: Sequence[float]) -> tuple[list[T], float]:
-    """The operations of the quarter of blocks with the fastest probes, and
-    the median probe over those operations."""
+    """The operations of the quietest quarter of blocks, and the median
+    probe over those operations.
+
+    ``probes[i]`` is the probe timed just before ``ops[i]``, so
+    ``probes[i + 1]`` is also the one just after it.
+    """
     blocks = [
-        (sum(probes[start : start + BLOCK]), start)
-        for start in range(0, len(ops) - BLOCK + 1, BLOCK)
+        (max(probes[start : start + BLOCK + 1]), start)
+        for start in range(0, len(ops) - BLOCK, BLOCK)
     ]
     blocks.sort()
     kept = [start for _, start in blocks[: max(1, len(blocks) // KEEP)]]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The repository's benchmark: one workload, one seed, one JSON result line.
 
-    python3 perfbench/run.py --workload campaign-lp --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload campaign-lp --seed 1 --seconds 12 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 ledger of a separate traced run.  Inputs come from ``--seed`` only; every
@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 from layers import PER_LAYER, import_seconds, query_ledger
-from quiet import MIN_OPS, REFERENCE_PROBE, quietest
+from quiet import REFERENCE_PROBE, probe, quietest
 from tracer import clock
 
 HERE = Path(__file__).resolve().parent
@@ -45,11 +45,16 @@ END_TO_END = {
     "peak_rss_mb": "MB",
     "ok_pct": "%",
 }
+#: Timed fresh start-ups per run; ``setup_s`` is their lower quartile.
+SETUP_RUNS = 8
+#: Probes timed before each start-up, while no child is running.
+IDLE_PROBES = 50
 #: Client threads of ``query-http``, each with one keep-alive connection
 #: (one per vCPU of the 2-vCPU reference VM).
 CLIENTS = 2
-#: Requests per half of a traced ``query-http`` run.
-TRACED_REQUESTS = 100
+#: Fewest requests of a ``query-http`` run (of each half of a traced one):
+#: then the 90th percentile has 10 samples beyond it.
+MIN_REQUESTS = 100
 #: The server's default LRU capacity.  Filling it before the window makes
 #: every fresh platform in the window evict an answer.
 CACHE_ENTRIES = 1024
@@ -165,33 +170,40 @@ def import_metrics(runs: int = 3) -> dict[str, float]:
     }
 
 
-def set_up(start, stop, runs: int):
-    """``runs`` timed fresh start-ups: the last one's handle and every
-    set-up time in seconds.
+def set_up(start, stop):
+    """``SETUP_RUNS`` timed fresh start-ups: the last one's handle and
+    ``setup_s``.
 
     ``start(last)`` launches one and returns ``(handle, seconds)``; every
     start-up but the last is ``stop``-ped.  One more start-up runs first,
-    untimed: it warms the file (and bytecode) caches.
+    untimed: it warms the file (and bytecode) caches.  Interference only
+    adds time, so ``setup_s`` is the lower quartile of the start-ups,
+    scaled by probes timed while no child runs (see ``quiet.py``).
     """
     setup: list[float] = []
-    for number in range(runs + 1):
-        handle, seconds = start(number == runs)
+    probes: list[float] = []
+    for number in range(SETUP_RUNS + 1):
+        if number:
+            probes.extend(probe() for _ in range(IDLE_PROBES))
+        handle, seconds = start(number == SETUP_RUNS)
         if number:
             setup.append(seconds)
-        if number < runs:
+        if number < SETUP_RUNS:
             stop(handle)
-    return handle, setup
+    print("perfbench: start-ups " + " ".join(f"{s:.3f}" for s in setup) + " s", file=sys.stderr)
+    _, calm = quietest(probes, probes)
+    low = statistics.quantiles(setup, n=4, method="inclusive")[0]
+    return handle, low * reference_scale(calm, "idle")
 
 
 def end_to_end(
-    setup: list[float], rate: float, latencies: list[float], rss: float,
+    setup_s: float, rate: float, latencies: list[float], rss: float,
     attempted: int, failed: int,
 ) -> dict[str, float]:
-    """The end-to-end figures; ``rate`` and ``latencies`` (seconds) come
-    from the quietest quarter of the run (see ``quiet.py``)."""
+    """The end-to-end figures; ``latencies`` in seconds."""
     latencies_ms = [latency * 1e3 for latency in latencies]
     return {
-        "setup_s": statistics.median(setup),
+        "setup_s": setup_s,
         "scenarios_per_s": rate,
         "op_p50_ms": statistics.median(latencies_ms),
         "op_p90_ms": statistics.quantiles(latencies_ms, n=10, method="inclusive")[8],
@@ -220,7 +232,7 @@ def campaign_run(args, work: Path, children: Children) -> tuple[dict, int, int, 
             )
             return child, child.ready("ready")
 
-        worker, setup = set_up(start, Child.finish, args.setup_runs)
+        worker, setup_s = set_up(start, Child.finish)
     result = json.loads(worker.expect("{")[1])
     rss = worker.finish()
     attempted, failed = result["attempted"], result["failed"]
@@ -232,11 +244,13 @@ def campaign_run(args, work: Path, children: Children) -> tuple[dict, int, int, 
         }
     else:
         latencies = [latency for latency, _ in result["ops"]]
+        # Chunk times come from the quietest quarter of the run, at the
+        # reference speed (see ``quiet.py``).
         kept, calm = quietest(latencies, [calm for _, calm in result["ops"]])
-        scale = reference_scale(calm)
+        scale = reference_scale(calm, "chunk")
         kept = [latency * scale for latency in kept]
         rate = result["scenarios_per_op"] * len(kept) / sum(kept)
-        metrics = end_to_end([seconds * scale for seconds in setup], rate, kept, rss, attempted, failed)
+        metrics = end_to_end(setup_s, rate, kept, rss, attempted, failed)
     return metrics, attempted, failed, result["errors"]
 
 
@@ -288,7 +302,7 @@ def query_run(args, work: Path, children: Children) -> tuple[dict, int, int, lis
     if args.trace:
         (child, port), _ = start_server()
         fill(port)
-        plain, plain_start = drive(port, stream, args.seconds / 2, TRACED_REQUESTS, CLIENTS)
+        plain, plain_start = drive(port, stream, args.seconds / 2, MIN_REQUESTS, CLIENTS)
         stop_server(child)
         spans_path = work / "spans.json"
         (child, port), _ = start_server(
@@ -296,7 +310,7 @@ def query_run(args, work: Path, children: Children) -> tuple[dict, int, int, lis
         )
         fill(port)
         before = health(port)
-        records, start = drive(port, stream, args.seconds / 2, TRACED_REQUESTS, CLIENTS)
+        records, start = drive(port, stream, args.seconds / 2, MIN_REQUESTS, CLIENTS)
         after = health(port)
         stop_server(child)
         window = (start, max(record.end for record in records))
@@ -316,35 +330,30 @@ def query_run(args, work: Path, children: Children) -> tuple[dict, int, int, lis
         )
         checked = plain + records
     else:
-        (child, port), setup = set_up(
-            lambda last: start_server(), lambda server: stop_server(server[0]), args.setup_runs
+        (child, port), setup_s = set_up(
+            lambda last: start_server(), lambda server: stop_server(server[0])
         )
         fill(port)
-        records, start = drive(port, stream, args.seconds, MIN_OPS, CLIENTS)
+        records, start = drive(port, stream, args.seconds, MIN_REQUESTS, CLIENTS)
         rss = stop_server(child)
         checked = records
 
     attempted, failed, errors = check_answers(checked)
     if not args.trace:
-        ordered = sorted(records, key=lambda record: record.start)
-        kept, calm = quietest(
-            [record.end - record.start for record in ordered],
-            [record.calm for record in ordered],
-        )
-        # Closed loop: CLIENTS requests are always in flight (Little's law).
-        # Set-up is CPU work and is scaled; requests are not: a keep-alive
-        # request mostly waits on a kernel timer, whatever the machine's speed.
-        rate = CLIENTS * len(kept) / sum(kept)
-        scale = reference_scale(calm)
-        metrics = end_to_end([seconds * scale for seconds in setup], rate, kept, rss, attempted, failed)
+        # Every request counts, unscaled: a keep-alive request mostly waits
+        # on a kernel timer, whatever the machine's speed.  Closed loop:
+        # CLIENTS requests are always in flight (Little's law).
+        latencies = [record.end - record.start for record in records]
+        rate = CLIENTS * len(latencies) / sum(latencies)
+        metrics = end_to_end(setup_s, rate, latencies, rss, attempted, failed)
     return metrics, attempted, failed, errors
 
 
-def reference_scale(calm: float) -> float:
+def reference_scale(calm: float, where: str) -> float:
     """The factor that brings CPU times measured at the quiet probe time
     ``calm`` to the reference machine's speed (see ``quiet.py``)."""
     print(
-        f"perfbench: quiet probe {calm * 1e6:.1f} us "
+        f"perfbench: quiet {where} probe {calm * 1e6:.1f} us "
         f"({calm / REFERENCE_PROBE:.3f}x the reference machine's)",
         file=sys.stderr,
     )
@@ -375,19 +384,13 @@ def check_answers(records) -> tuple[int, int, list[str]]:
 # ------------------------------------------------------------------ main
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Run one benchmark workload.")
     parser.add_argument("--workload", choices=WORKLOADS, required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument(
-        "--setup-runs", type=int, default=7,
-        help="timed fresh start-ups whose median is setup_s (default: 7)",
-    )
-    args = parser.parse_args()
-    if args.setup_runs < 1:
-        parser.error("--setup-runs must be at least 1")
+    args = parser.parse_args(argv)
     if not (SRC / "repro" / "__init__.py").is_file():
         print(f"perfbench: no program at {SRC / 'repro'}; run from a full checkout",
               file=sys.stderr)

@@ -21,6 +21,7 @@ BENCH = Path(__file__).resolve().parents[1]
 ROOT = BENCH.parent
 sys.path[:0] = [str(BENCH), str(ROOT / "src")]
 
+import run  # noqa: E402
 from campaign_worker import campaign_spec, chunk_size, summarise  # noqa: E402
 from query_load import QueryStream, Record  # noqa: E402
 from run import check_answers  # noqa: E402
@@ -28,15 +29,48 @@ from run import check_answers  # noqa: E402
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 WORKLOADS = [workload["name"] for workload in BENCHMARK["workloads"]]
 
+#: The layers each workload runs: a traced run must report them non-zero.
+#: A wrapper whose name the program no longer looks up would read 0.
+KERNEL = ["core.batch_scenario.build_us", "core.batch_scenario.simplex_us",
+          "core.batch_scenario.lps", "core.batch_scenario.pivots"]
+CAMPAIGN = KERNEL + [
+    "workloads.sampling.us", "experiments.campaign_engine.prepare_self_us",
+    "core.rounding.us", "scenarios.runner.encode_self_us",
+    "scenarios.runner.campaign_self_us", "scenarios.store.append_us",
+    "scenarios.store.bytes_appended", "scenarios.store.fsyncs",
+]
+EXERCISED = {
+    "campaign-lp": CAMPAIGN + [
+        "simulation.executor.layout_us", "simulation.executor.layouts_built",
+    ],
+    "campaign-measured": CAMPAIGN + [
+        "simulation.executor.layout_us", "simulation.executor.layouts_built",
+        "simulation.executor.layouts_replayed_ratio", "simulation.noise.us",
+        "simulation.noise.draws", "experiments.campaign_engine.replay_us",
+        "experiments.campaign_engine.replay_runs",
+    ],
+    "campaign-twoport": CAMPAIGN + [
+        "simulation.fast_twoport.us", "simulation.fast_twoport.calls",
+        "experiments.campaign_engine.replay_us",
+    ],
+    "query-http": KERNEL + [
+        "api.server.transport_ms", "api.server.json_us", "api.schemas.parse_us",
+        "api.schemas.encode_us", "api.cache.key_us", "api.cache.lookup_us",
+        "api.cache.hit_ratio", "api.funnel.wait_us", "api.funnel.batch_size_mean",
+        "api.service.solve_us", "api.service.answer_self_us",
+    ],
+}
 
-def tiny_run(workload: str, seed: int, trace: int, cwd: Path = ROOT):
-    return subprocess.run(
-        [
-            sys.executable, str(cwd / "perfbench" / "run.py"), "--workload", workload,
-            "--seed", str(seed), "--seconds", "1", "--trace", str(trace), "--setup-runs", "1",
-        ],
-        cwd=cwd, capture_output=True, text=True, timeout=170,
+
+def tiny_run(workload: str, seed: int, trace: int, monkeypatch, capsys) -> dict:
+    """A one-second run in this process, with two timed start-ups."""
+    monkeypatch.setattr(run, "SETUP_RUNS", 2)
+    code = run.main(
+        ["--workload", workload, "--seed", str(seed), "--seconds", "1", "--trace", str(trace)]
     )
+    out = capsys.readouterr().out
+    assert code == 0, out
+    return json.loads(out.splitlines()[-1])
 
 
 def units(result: dict) -> dict[str, str]:
@@ -45,10 +79,8 @@ def units(result: dict) -> dict[str, str]:
 
 @pytest.mark.parametrize("trace", [0, 1])
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_tiny_run_prints_every_metric_with_its_unit(workload, trace):
-    done = tiny_run(workload, seed=1, trace=trace)
-    assert done.returncode == 0, done.stderr
-    result = json.loads(done.stdout.splitlines()[-1])
+def test_tiny_run_prints_every_metric_with_its_unit(workload, trace, monkeypatch, capsys):
+    result = tiny_run(workload, 1, trace, monkeypatch, capsys)
     expected = BENCHMARK["per_layer" if trace else "end_to_end"]
     assert units(result) == {metric["name"]: metric["unit"] for metric in expected}
     assert result["correct"] and result["failed"] == 0
@@ -56,11 +88,15 @@ def test_tiny_run_prints_every_metric_with_its_unit(workload, trace):
     values = {name: metric["value"] for name, metric in result["metrics"].items()}
     if trace:
         assert values["setup.import_repro_cli_s"] > values["setup.import_scipy_s"] > 0
+        silent = [name for name in EXERCISED[workload] + ["other_us"] if not values[name] > 0]
+        assert not silent, f"{workload}: layers read 0: {silent}"
+        if workload == "campaign-lp":
+            assert values["simulation.executor.layouts_replayed_ratio"] == 0
     else:
         assert all(value > 0 for value in values.values())
 
 
-def test_other_seed_changes_inputs_not_metric_names():
+def test_other_seed_changes_inputs_not_metric_names(monkeypatch, capsys):
     assert [QueryStream(1).next().payload for _ in range(5)] != [
         QueryStream(2).next().payload for _ in range(5)
     ]
@@ -68,11 +104,7 @@ def test_other_seed_changes_inputs_not_metric_names():
     assert [first.next() for _ in range(50)] == [again.next() for _ in range(50)]
     assert campaign_spec("campaign-lp", 1, 0).family != campaign_spec("campaign-lp", 2, 0).family
 
-    names = []
-    for seed in (1, 2):
-        done = tiny_run("campaign-lp", seed=seed, trace=0)
-        assert done.returncode == 0, done.stderr
-        names.append(units(json.loads(done.stdout.splitlines()[-1])))
+    names = [units(tiny_run("campaign-lp", seed, 0, monkeypatch, capsys)) for seed in (1, 2)]
     assert names[0] == names[1]
 
 
@@ -127,6 +159,10 @@ def test_corrupted_answer_is_counted_as_failed():
 def test_refuses_to_run_without_the_program(tmp_path):
     shutil.copytree(BENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
-    done = tiny_run("campaign-lp", seed=1, trace=0, cwd=tmp_path)
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "campaign-lp", "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=170,
+    )
     assert done.returncode != 0
     assert done.stdout == ""
