@@ -6,11 +6,13 @@
 Set-up is what a user pays before the first chunk: this interpreter,
 ``import repro``, opening the store and a two-chunk warm-up campaign.  The
 worker prints ``ready`` when set-up is done, so the parent times it from
-outside.  ``--probe`` exits there.  Otherwise it runs fresh campaigns
-through ``repro.scenarios.run_campaign`` back to back for ``--seconds``
-(and at least ``quiet.MIN_OPS`` chunks), timing every persisted chunk
-through the ``progress`` callback, then checks one sampled row of every
-chunk against the scalar reference path and prints one JSON line.
+outside.  ``--probe`` exits there.  Otherwise it runs campaigns through
+``repro.scenarios.run_campaign`` in ``quiet.PASSES`` passes: the first
+runs fresh campaigns back to back for its share of ``--seconds`` (and at
+least ``quiet.MIN_OPS`` chunks), the others repeat them into fresh stores.
+It times every persisted chunk through the ``progress`` callback, then
+checks one sampled row of every chunk against the scalar reference path
+and prints one JSON line.
 
 With ``--trace``, campaigns alternate between untraced and traced (layer
 functions wrapped); the JSON line then carries the per-layer ledger of the
@@ -26,7 +28,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from quiet import MIN_OPS, probe
+from quiet import MIN_OPS, PASSES, probe
 from tracer import ModuleProxy, Tracer, clock
 
 
@@ -111,26 +113,24 @@ def main() -> int:
 
     tracer = Tracer()
     done: list[dict] = []
-    #: ``[seconds, probe seconds]`` per chunk of the untraced campaigns.
-    ops: list[list[float]] = []
     failure = None
-    number = 0
-    while True:
-        traced = args.trace and number % 2 == 1
-        spec = campaign_spec(args.workload, args.seed, number)
+
+    def run_one(spec, store, traced: bool = False, timings: list | None = None) -> bool:
+        """Run one campaign (False if it raised).  ``timings`` gets
+        ``[seconds, probe seconds]`` per chunk, with a probe before each."""
+        nonlocal failure
         if traced:
             from layers import install_campaign_layers
 
             install_campaign_layers(tracer)
         fsyncs_before = fsyncs.calls
-        # Untraced chunks are timed one by one, with a probe before each.
-        calm = 0.0 if args.trace else probe()
+        calm = probe() if timings is not None else 0.0
         begun = started = clock()
 
         def persisted(completed: int, total: int) -> None:
             nonlocal calm, begun
-            if not args.trace:
-                ops.append([clock() - begun, calm])
+            if timings is not None:
+                timings.append([clock() - begun, calm])
                 calm = probe()
                 begun = clock()
 
@@ -139,8 +139,8 @@ def main() -> int:
                 spec, store, chunk_size=size, jobs=1, progress=persisted
             )
         except Exception as error:  # an operation failed: report it, stop measuring
-            failure = f"campaign {number}: {error!r}"
-            break
+            failure = f"campaign seed {spec.family.seed}: {error!r}"
+            return False
         finally:
             tracer.restore()
         done.append(
@@ -152,13 +152,45 @@ def main() -> int:
                 "fsyncs": fsyncs.calls - fsyncs_before,
             }
         )
-        number += 1
-        if sum(campaign["wall"] for campaign in done) >= args.seconds and number >= 2:
-            if args.trace or len(ops) >= MIN_OPS:
+        return True
+
+    def elapsed() -> float:
+        return sum(campaign["wall"] for campaign in done)
+
+    #: Per pass, ``[seconds, probe seconds]`` per chunk (untraced runs).
+    passes: list[list[list[float]]] = []
+    if args.trace:
+        # Untraced and traced campaigns alternate.
+        number = 0
+        while run_one(campaign_spec(args.workload, args.seed, number), store, number % 2 == 1):
+            number += 1
+            if elapsed() >= args.seconds and number >= 2:
+                break
+    else:
+        # The first pass picks the campaigns; the others repeat them, each
+        # pass into a fresh store (see ``quiet.py``).
+        specs = []
+        for number in range(PASSES):
+            timings: list[list[float]] = []
+            pass_store = CampaignStore(args.store / f"pass{number}")
+            if number == 0:
+                while run_one(spec := campaign_spec(args.workload, args.seed, len(specs)),
+                              pass_store, timings=timings):
+                    specs.append(spec)
+                    if elapsed() >= args.seconds / PASSES and len(timings) >= MIN_OPS:
+                        break
+            else:
+                for spec in specs:
+                    if not run_one(spec, pass_store, timings=timings):
+                        break
+            if failure and number:
+                break  # a pass cut short by a failure times no operation
+            passes.append(timings)
+            if failure:
                 break
 
     result = summarise(done, failure, args.seed)
-    result["ops"] = ops
+    result["passes"] = passes
     result["scenarios_per_op"] = size * len(campaign_spec(args.workload, args.seed, 0).grid)
     if args.trace:
         from layers import campaign_ledger

@@ -1,54 +1,60 @@
-"""Measuring on a shared machine: keep the quietest quarter of the run and
-report CPU-bound times at the reference machine's speed.
+"""Measuring on a shared machine: time every operation several times, keep
+its fastest time, and report CPU-bound times at the reference machine's
+speed.
 
 Other tenants of the machine share its cores.  On a 2-vCPU VM a fixed
 Python loop took from 1.0x to 2.1x its fastest time, in phases lasting
 seconds, so a plain median over a 10-second run moved by ~25% between
 runs however long the run.  The slow-down is one-sided (interference only
-adds time) and not a property of the program, so the end-to-end figures
-come from the part of the run where the machine was quietest:
+adds time) and not a property of the program.  A tail percentile suffers
+most: ``op_p90_ms`` sits ~10% above ``op_p50_ms``, so once a tenth of the
+timed chunks ran during a busy phase it reads the busy speed.
 
-* before each campaign chunk the campaign process times a fixed loop, the
-  *probe*;
-* the run's chunks, in order, form blocks of ``BLOCK``;
-* a block is as quiet as its slowest probe, counting the probe before each
-  of its chunks and the one after its last: the machine was quiet through
-  the block only if every probe around its chunks was fast;
-* the quietest quarter of the blocks is kept, and the throughput and
-  latency percentiles are computed over their chunks.
-
-The probe runs between chunks, in the same process, while nothing else of
-the benchmark runs, so it does not depend on the chunk it precedes and the
-choice of blocks does not favour cheap inputs.  Keeping 100 chunks needs
-``MIN_OPS`` per run: then the 90th percentile has 10 samples beyond it.
-Over 60-second ``campaign-lp`` runs, ranking blocks by their slowest probe
-rather than their mean probe cut the spread of ``op_p90_ms`` between
-12-second windows from 0.078 to 0.032.
+So a campaign run makes ``PASSES`` passes over the same campaigns, each
+into fresh stores: the passes do identical work, chunk for chunk, seconds
+apart.  An operation's time is its fastest over the passes: it reads slow
+only if the machine was busy in every pass.  Which inputs run does not
+depend on the machine, and every operation is kept, so nothing favours
+cheap inputs.  ``MIN_OPS`` distinct operations per run give the 90th
+percentile 10 samples beyond it.
 
 The machine's quiet speed itself drifts over hours: on the reference VM the
 quiet probe went from 0.150 ms to 0.198 ms between two afternoon hours, and
 a quiet ``campaign-lp`` chunk from 14.0 ms to 18.1 ms with it.  So times
 spent on the CPU are scaled by ``REFERENCE_PROBE / probe``: they read as on
 the reference machine at its quiet speed, and a drift that slows probe and
-program alike cancels out.  Start-ups are scaled by probes the benchmark
-takes while no child process runs.
+program alike cancels out.  The probe, a fixed loop, is timed before every
+chunk of every pass, and a chunk's time is scaled by the median probe
+around it in its pass, before the fastest pass is taken.  The probe tracks
+busy phases, but under-corrects them: in one busy phase chunks ran 1.6x
+their quiet time while the probe read 1.37x.  So the scaling shrinks the
+gap between passes and the fastest pass removes most of what is left.
+Over seven ``campaign-twoport`` seeds, scaling each chunk by its own
+window before taking the fastest pass cut the spread of ``op_p90_ms``
+from 0.111 (fastest pass, then one scale for the run) to 0.044, and on
+``campaign-lp`` from 0.229 to 0.056 (five seeds).
+
+Start-ups are scaled by probes timed while no child process runs: a round
+of probes before each start-up; the quiet probe is the median over the
+rounds of each round's fastest probe.
 """
 
 from __future__ import annotations
 
 import statistics
-from typing import Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from tracer import clock
 
-BLOCK = 10
-KEEP = 4  # keep one block in KEEP
-#: 100 kept operations, and the probe after the last block.
-MIN_OPS = 100 * KEEP + 1
+#: Passes over a run's campaigns; an operation's time is its fastest.
+PASSES = 5
+#: Distinct operations per run: then the 90th percentile has 10 samples
+#: beyond it.
+MIN_OPS = 100
 #: The probe's quiet time on the reference machine, in seconds.
 REFERENCE_PROBE = 150e-6
-
-T = TypeVar("T")
+#: Probes on either side of a chunk that give its pass's speed there.
+AROUND = 5
 
 
 def probe() -> float:
@@ -60,20 +66,35 @@ def probe() -> float:
     return clock() - start
 
 
-def quietest(ops: Sequence[T], probes: Sequence[float]) -> tuple[list[T], float]:
-    """The operations of the quietest quarter of blocks, and the median
-    probe over those operations.
+def fastest(passes: Sequence[Sequence[float]]) -> list[float]:
+    """Per position, the fastest of the passes' times.
 
-    ``probes[i]`` is the probe timed just before ``ops[i]``, so
-    ``probes[i + 1]`` is also the one just after it.
+    Every pass times the same operations in the same order.
     """
-    blocks = [
-        (max(probes[start : start + BLOCK + 1]), start)
-        for start in range(0, len(ops) - BLOCK, BLOCK)
-    ]
-    blocks.sort()
-    kept = [start for _, start in blocks[: max(1, len(blocks) // KEEP)]]
-    return (
-        [op for start in kept for op in ops[start : start + BLOCK]],
-        statistics.median(p for start in kept for p in probes[start : start + BLOCK]),
-    )
+    lengths = {len(times) for times in passes}
+    if len(lengths) != 1:
+        raise ValueError(f"passes timed different numbers of operations: {sorted(lengths)}")
+    return [min(times) for times in zip(*passes)]
+
+
+def chunk_times(passes: Sequence[Sequence[Sequence[float]]]) -> list[float]:
+    """Each chunk's time at the reference speed: the fastest over the passes.
+
+    ``passes[k][i]`` is ``[seconds, probe seconds]`` of chunk ``i`` in pass
+    ``k``.  Within a pass a chunk's time is scaled by the median of the
+    probes around it, ``AROUND`` on either side: they follow a busy phase
+    (seconds long) while one odd probe does not move them.
+    """
+    scaled = []
+    for ops in passes:
+        probes = [calm for _, calm in ops]
+        scaled.append([
+            seconds * REFERENCE_PROBE / statistics.median(probes[max(0, i - AROUND) : i + AROUND + 1])
+            for i, (seconds, _) in enumerate(ops)
+        ])
+    return fastest(scaled)
+
+
+def quiet_probe(rounds: Iterable[Sequence[float]]) -> float:
+    """The median over ``rounds`` of each round's fastest probe."""
+    return statistics.median(min(round_) for round_ in rounds)

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """The repository's benchmark: one workload, one seed, one JSON result line.
 
-    python3 perfbench/run.py --workload campaign-lp --seed 1 --seconds 12 --trace 0
+    python3 perfbench/run.py --workload campaign-lp --seed 1 --seconds 15 --trace 0
 
 ``--trace 0`` prints the end-to-end metrics, ``--trace 1`` the per-layer
 ledger of a separate traced run.  Inputs come from ``--seed`` only; every
@@ -27,7 +27,7 @@ import time
 from pathlib import Path
 
 from layers import PER_LAYER, import_seconds, query_ledger
-from quiet import REFERENCE_PROBE, probe, quietest
+from quiet import REFERENCE_PROBE, chunk_times, probe, quiet_probe
 from tracer import clock
 
 HERE = Path(__file__).resolve().parent
@@ -181,19 +181,18 @@ def set_up(start, stop):
     scaled by probes timed while no child runs (see ``quiet.py``).
     """
     setup: list[float] = []
-    probes: list[float] = []
+    probes: list[list[float]] = []
     for number in range(SETUP_RUNS + 1):
         if number:
-            probes.extend(probe() for _ in range(IDLE_PROBES))
+            probes.append([probe() for _ in range(IDLE_PROBES)])
         handle, seconds = start(number == SETUP_RUNS)
         if number:
             setup.append(seconds)
         if number < SETUP_RUNS:
             stop(handle)
     print("perfbench: start-ups " + " ".join(f"{s:.3f}" for s in setup) + " s", file=sys.stderr)
-    _, calm = quietest(probes, probes)
     low = statistics.quantiles(setup, n=4, method="inclusive")[0]
-    return handle, low * reference_scale(calm, "idle")
+    return handle, low * reference_scale(quiet_probe(probes), "idle")
 
 
 def end_to_end(
@@ -243,14 +242,15 @@ def campaign_run(args, work: Path, children: Children) -> tuple[dict, int, int, 
             "trace.overhead_pct": result["overhead_pct"],
         }
     else:
-        latencies = [latency for latency, _ in result["ops"]]
-        # Chunk times come from the quietest quarter of the run, at the
-        # reference speed (see ``quiet.py``).
-        kept, calm = quietest(latencies, [calm for _, calm in result["ops"]])
-        scale = reference_scale(calm, "chunk")
-        kept = [latency * scale for latency in kept]
-        rate = result["scenarios_per_op"] * len(kept) / sum(kept)
-        metrics = end_to_end(setup_s, rate, kept, rss, attempted, failed)
+        # A chunk's time is its fastest over the passes, at the reference
+        # speed (see ``quiet.py``).
+        for number, ops in enumerate(result["passes"]):
+            probes = statistics.median(calm for _, calm in ops)
+            print(f"perfbench: pass {number} median chunk probe {probes * 1e6:.1f} us "
+                  f"({probes / REFERENCE_PROBE:.3f}x the reference machine's)", file=sys.stderr)
+        latencies = chunk_times(result["passes"])
+        rate = result["scenarios_per_op"] * len(latencies) / sum(latencies)
+        metrics = end_to_end(setup_s, rate, latencies, rss, attempted, failed)
     return metrics, attempted, failed, result["errors"]
 
 

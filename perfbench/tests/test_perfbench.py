@@ -156,6 +156,17 @@ def test_corrupted_answer_is_counted_as_failed():
     assert "differs from the reference" in errors[0]
 
 
+def test_chunk_time_is_the_fastest_scaled_pass():
+    from quiet import REFERENCE_PROBE, chunk_times
+
+    quiet_pass = [[0.010, REFERENCE_PROBE]] * 3
+    busy_pass = [[0.030, 2 * REFERENCE_PROBE]] * 3  # 3x slower, the probe 2x
+    assert chunk_times([busy_pass, quiet_pass]) == pytest.approx([0.010] * 3)
+    assert chunk_times([busy_pass]) == pytest.approx([0.015] * 3)
+    with pytest.raises(ValueError):
+        chunk_times([quiet_pass, quiet_pass[:2]])
+
+
 def test_refuses_to_run_without_the_program(tmp_path):
     shutil.copytree(BENCH, tmp_path / "perfbench", ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
