@@ -19,10 +19,19 @@ computed in-process — the bit-identity tests pin this.
 Everything here is immutable (tuples of tuples, no shared arrays): once a
 query is built, mutating the caller's cost table cannot change the
 query's key or a cached answer derived from it.
+
+A :class:`Query` is valid by construction: its platform is built (and
+so checked by :class:`~repro.core.platform.Worker` and
+:class:`~repro.core.platform.StarPlatform`) when the query is, so a bad
+cost is rejected before the query can reach a shared kernel call.  The
+wire form is stricter than the Python one: :meth:`Query.from_dict` takes
+JSON numbers and booleans only, never a string or a boolean standing in
+for a number.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -58,10 +67,27 @@ def _platform_rows(platform: StarPlatform) -> tuple[tuple[str, float, float, flo
 
 
 def _platform_from_rows(rows: Sequence[Sequence]) -> StarPlatform:
-    return StarPlatform(
-        Worker(name=str(name), c=float(c), w=float(w), d=float(d))
-        for name, c, w, d in rows
-    )
+    return StarPlatform([Worker(str(name), float(c), float(w), float(d)) for name, c, w, d in rows])
+
+
+#: Python types a JSON number decodes to.  Matched exactly: ``bool`` is an
+#: ``int`` subclass, but ``true`` is not a number on the wire.
+_JSON_NUMBER_TYPES = (int, float)
+
+
+def _check_wire_platform(platform: Mapping) -> None:
+    """Reject cost entries that are not JSON numbers, naming the field."""
+    for name, costs in platform.items():
+        for key in ("c", "w", "d"):
+            try:
+                value = costs[key]
+            except (KeyError, TypeError):
+                continue  # missing, or costs not a mapping: _platform_mapping_rows reports it
+            if type(value) not in _JSON_NUMBER_TYPES:
+                raise ScheduleError(
+                    f"worker {name!r} needs numeric 'c', 'w' and 'd' costs: "
+                    f"{key!r} is {type(value).__name__}"
+                )
 
 
 def _platform_mapping_rows(payload: Mapping) -> tuple[tuple[str, float, float, float], ...]:
@@ -83,7 +109,9 @@ class Query:
     The platform is captured as a cost-table *copy* at construction time
     (``platform_rows``), so later mutation of whatever the caller built the
     query from — a numpy cost table, a list of dicts — can neither poison a
-    cached answer nor change the query's key.
+    cached answer nor change the query's key.  The table is turned into a
+    :class:`StarPlatform` right away, so a NaN, infinite or non-positive
+    cost raises :class:`~repro.exceptions.PlatformError` here.
     """
 
     platform_rows: tuple[tuple[str, float, float, float], ...]
@@ -91,12 +119,14 @@ class Query:
     heuristics: tuple[str, ...] = DEFAULT_HEURISTICS
     total_tasks: float = DEFAULT_TOTAL_TASKS
     deadline: float = 1.0
+    _platform: StarPlatform = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "platform_rows", tuple(tuple(row) for row in self.platform_rows))
         object.__setattr__(self, "heuristics", tuple(self.heuristics))
         if not self.platform_rows:
             raise ScheduleError("a query needs at least one worker")
+        object.__setattr__(self, "_platform", _platform_from_rows(self.platform_rows))
         if not self.heuristics:
             raise ScheduleError("a query needs at least one heuristic")
         for name in self.heuristics:
@@ -104,10 +134,10 @@ class Query:
                 raise ScheduleError(
                     f"unknown heuristic {name!r}; available: {sorted(HEURISTICS)}"
                 )
-        if not self.total_tasks > 0:
-            raise ScheduleError("total_tasks must be positive")
-        if not self.deadline > 0:
-            raise ScheduleError("deadline must be positive")
+        if not (self.total_tasks > 0 and math.isfinite(self.total_tasks)):
+            raise ScheduleError("total_tasks must be positive and finite")
+        if not (self.deadline > 0 and math.isfinite(self.deadline)):
+            raise ScheduleError("deadline must be positive and finite")
 
     @classmethod
     def build(
@@ -141,8 +171,8 @@ class Query:
 
     @property
     def platform(self) -> StarPlatform:
-        """A fresh :class:`StarPlatform` built from the captured cost table."""
-        return _platform_from_rows(self.platform_rows)
+        """The :class:`StarPlatform` of the captured cost table."""
+        return self._platform
 
     def as_dict(self) -> dict:
         """JSON form — the request schema of ``POST /v1/query``."""
@@ -156,7 +186,7 @@ class Query:
 
     @classmethod
     def from_dict(cls, payload: Mapping) -> "Query":
-        """Parse the request schema (unknown keys rejected)."""
+        """Parse the request schema (unknown keys and ill-typed values rejected)."""
         if not isinstance(payload, Mapping):
             raise ScheduleError("the request body must be a JSON object")
         unknown = set(payload) - {"platform", "one_port", "heuristics", "total_tasks", "deadline"}
@@ -168,12 +198,29 @@ class Query:
             raise ScheduleError("the request needs a 'platform' mapping") from None
         if not isinstance(platform, Mapping):
             raise ScheduleError("'platform' must map worker names to {c,w,d} costs")
+        _check_wire_platform(platform)
+        one_port = payload.get("one_port", True)
+        if not isinstance(one_port, bool):
+            raise ScheduleError(
+                f"'one_port' must be a JSON boolean, got {type(one_port).__name__}"
+            )
+        heuristics = payload.get("heuristics", DEFAULT_HEURISTICS)
+        if not (
+            isinstance(heuristics, (list, tuple))
+            and all(isinstance(name, str) for name in heuristics)
+        ):
+            raise ScheduleError("'heuristics' must be a list of heuristic names")
+        total_tasks = payload.get("total_tasks", DEFAULT_TOTAL_TASKS)
+        deadline = payload.get("deadline", 1.0)
+        for key, value in (("total_tasks", total_tasks), ("deadline", deadline)):
+            if type(value) not in _JSON_NUMBER_TYPES:
+                raise ScheduleError(f"{key!r} must be a JSON number, got {type(value).__name__}")
         return cls.build(
             platform,
-            one_port=payload.get("one_port", True),
-            heuristics=payload.get("heuristics", DEFAULT_HEURISTICS),
-            total_tasks=payload.get("total_tasks", DEFAULT_TOTAL_TASKS),
-            deadline=payload.get("deadline", 1.0),
+            one_port=one_port,
+            heuristics=heuristics,
+            total_tasks=total_tasks,
+            deadline=deadline,
         )
 
 

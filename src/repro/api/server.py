@@ -15,17 +15,25 @@ concurrent requests genuinely share kernel calls.  Shutdown is a
 are joined (``daemon_threads`` stays off), then the socket closes —
 :func:`run_server` wires SIGTERM/SIGINT to exactly that and exits 0.
 
-Malformed requests answer 400 with ``{"error": ...}``; unknown paths 404;
-wrong methods 405.  Every request is instrumented through the ambient
-:func:`repro.obs.active` telemetry (request spans, latency histogram,
-per-status counters) — activate a :class:`repro.obs.Telemetry` around
-:func:`run_server` to capture them.
+Every response leaves in one write with Nagle off, so a keep-alive
+client never waits out its delayed ACK for the body.
+
+Malformed requests (bad JSON, schema or type violations, invalid costs)
+answer 400 with ``{"error": ...}``; unknown paths 404; wrong methods 405.
+A failure of the server itself — a solver error or any other bug —
+answers ``500 {"error": "internal error"}`` and is logged as
+``http.internal``.  A client that hangs up before its answer is written
+is counted as 499 and dropped quietly.  Every request is instrumented
+through the ambient :func:`repro.obs.active` telemetry (request spans,
+latency histogram, per-status counters) — activate a
+:class:`repro.obs.Telemetry` around :func:`run_server` to capture them.
 """
 
 from __future__ import annotations
 
 import json
 import signal
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -33,7 +41,7 @@ from typing import Mapping
 
 from repro.api.schemas import Query
 from repro.api.service import QueryService
-from repro.exceptions import ReproError
+from repro.exceptions import PlatformError, ScheduleError
 from repro.obs import active, get_logger
 
 __all__ = ["QueryHTTPServer", "make_server", "run_server"]
@@ -48,6 +56,11 @@ class _BadRequest(Exception):
     """Client error carrying the message answered as ``{"error": ...}``."""
 
 
+#: Errors caused by the request, answered 400 with their message.  Any
+#: other exception is the server's fault and answers 500.
+_CLIENT_ERRORS = (_BadRequest, ScheduleError, PlatformError)
+
+
 class QueryHTTPServer(ThreadingHTTPServer):
     """ThreadingHTTPServer that knows its :class:`QueryService`."""
 
@@ -60,15 +73,31 @@ class QueryHTTPServer(ThreadingHTTPServer):
         self.service = service
         self.started = time.time()
 
+    def handle_error(self, request, client_address) -> None:
+        # A client that hung up leaves its unsent answer in the handler's
+        # write buffer, which re-raises when the handler closes; that is
+        # the client's doing, not a server fault worth a traceback.
+        if isinstance(sys.exc_info()[1], ConnectionError):
+            return
+        super().handle_error(request, client_address)
+
 
 class _QueryHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "repro-api"
+    # Buffer the status line, headers and body and send them as one write.
+    # Written separately, the body waits under Nagle for the client's
+    # delayed ACK (~40 ms) on every keep-alive request.
+    wbufsize = -1
+    # An answer larger than the buffer goes out in several writes; none of
+    # them may wait for an ACK either.
+    disable_nagle_algorithm = True
 
     # Route BaseHTTPRequestHandler's stderr chatter through the structured
-    # logger (debug level: per-request lines are telemetry's job).
+    # logger (debug level: per-request lines are telemetry's job).  The
+    # arguments are formatted only if debug logging is on.
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
-        _log.debug("http %s", format % args, client=self.client_address[0])
+        _log.debug(format, *args, client=self.client_address[0])
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         if self.path != "/v1/healthz":
@@ -86,21 +115,19 @@ class _QueryHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------- handlers
 
-    def _healthz(self) -> None:
+    def _healthz(self) -> dict:
         server: QueryHTTPServer = self.server
-        payload = {
+        return {
             "status": "ok",
             "uptime_seconds": time.time() - server.started,
             **server.service.stats(),
         }
-        self._send_json(200, payload)
 
-    def _query(self) -> None:
+    def _query(self) -> dict:
         request = Query.from_dict(self._read_json())
-        answer = self.server.service.query(request)
-        self._send_json(200, answer.as_dict())
+        return self.server.service.query(request).as_dict()
 
-    def _query_batch(self) -> None:
+    def _query_batch(self) -> dict:
         payload = self._read_json()
         if not isinstance(payload, Mapping) or "queries" not in payload:
             raise _BadRequest("the batch body must be {\"queries\": [...]}")
@@ -109,31 +136,34 @@ class _QueryHandler(BaseHTTPRequestHandler):
             raise _BadRequest("'queries' must be a list of query objects")
         requests = [Query.from_dict(entry) for entry in queries]
         answers = self.server.service.query_batch(requests)
-        self._send_json(200, {"answers": [answer.as_dict() for answer in answers]})
+        return {"answers": [answer.as_dict() for answer in answers]}
 
     # ------------------------------------------------------------- plumbing
 
     def _instrumented(self, handler) -> None:
         telemetry = active()
         start = time.perf_counter()
-        status = 500
         with telemetry.span("api.request", path=self.path, method=self.command):
             try:
-                handler()
-                status = 200
-            except _BadRequest as error:
-                status = 400
-                self._send_error(400, str(error))
-            except ReproError as error:
-                status = 400
-                self._send_error(400, str(error))
-            except BrokenPipeError:
-                status = 499  # client went away mid-response; nothing to answer
-            except Exception as error:  # never kill the handler thread silently
-                _log.error("http.internal", error=repr(error), path=self.path)
-                self._send_error(500, "internal error")
+                status, payload = self._answer(handler)
+                self._send_json(status, payload)
+            except ConnectionError:
+                status = 499  # client went away; nothing left to answer
+                self.close_connection = True
         telemetry.counter(f"api.http.{status}")
         telemetry.observe("api.request.seconds", time.perf_counter() - start)
+
+    def _answer(self, handler) -> tuple[int, object]:
+        """``handler()``'s payload with its status, or the error it raised."""
+        try:
+            return 200, handler()
+        except ConnectionError:
+            raise
+        except _CLIENT_ERRORS as error:
+            return 400, {"error": str(error)}
+        except Exception as error:  # never kill the handler thread silently
+            _log.error("http.internal", error=repr(error), path=self.path)
+            return 500, {"error": "internal error"}
 
     def _read_json(self):
         try:
@@ -151,15 +181,14 @@ class _QueryHandler(BaseHTTPRequestHandler):
             raise _BadRequest(f"invalid JSON body: {error}") from None
 
     def _send_json(self, status: int, payload) -> None:
+        """Buffer the whole response and put it on the wire in one write."""
         data = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
-        try:
-            self.wfile.write(data)
-        except BrokenPipeError:
-            pass  # client hung up after we committed the status line
+        self.wfile.write(data)
+        self.wfile.flush()
 
     def _send_error(self, status: int, message: str) -> None:
         self._send_json(status, {"error": message})

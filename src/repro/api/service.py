@@ -109,8 +109,8 @@ class QueryService:
             else:
                 telemetry.counter("api.cache.misses")
                 self._count("_misses")
-                answer = self.funnel.submit(request)
-                self.cache.put(answer.key, answer)
+                answer = self.funnel.submit((key, request))
+                self.cache.put(key, answer)
         telemetry.observe("api.query.seconds", time.perf_counter() - start)
         return answer
 
@@ -130,10 +130,11 @@ class QueryService:
         with telemetry.span("api.query_batch", size=len(requests)):
             telemetry.counter("api.queries", float(len(requests)))
             self._count("_queries", len(requests))
+            keyed = [(query_key(request), request) for request in requests]
             answers: dict[int, Answer] = {}
             misses: list[int] = []
-            for index, request in enumerate(requests):
-                hit = self.cache.get(query_key(request))
+            for index, (key, _) in enumerate(keyed):
+                hit = self.cache.get(key)
                 if hit is not None:
                     answers[index] = replace(hit, cached=True)
                 else:
@@ -143,7 +144,7 @@ class QueryService:
             self._count("_hits", len(answers))
             self._count("_misses", len(misses))
             if misses:
-                solved = self._solve_queries(tuple(requests[i] for i in misses))
+                solved = self._solve_queries(tuple(keyed[i] for i in misses))
                 for index, answer in zip(misses, solved):
                     self.cache.put(answer.key, answer)
                     answers[index] = answer
@@ -169,29 +170,26 @@ class QueryService:
         with self._stats_lock:
             setattr(self, name, getattr(self, name) + value)
 
-    def _solve_queries(self, queries: Sequence[Query]) -> list[Answer]:
-        """Solve a batch of (cache-missed) queries with stacked kernels.
+    def _solve_queries(self, items: Sequence[tuple[str, Query]]) -> list[Answer]:
+        """Solve a batch of (cache-missed) ``(key, query)`` pairs with stacked kernels.
 
-        Identical queries inside the batch are deduplicated and solved
-        once; the rest group by (port model, deadline) — one
-        ``solve_scenarios`` call per group stacks every heuristic of every
-        query of the group.
+        The keys are the ones the cache lookup computed.  Identical
+        queries inside the batch are deduplicated and solved once; the
+        rest group by (port model, deadline) — one ``solve_scenarios``
+        call per group stacks every heuristic of every query of the group.
         """
-        keys = [query_key(query) for query in queries]
-        unique: dict[str, Query] = {}
-        for key, query in zip(keys, queries):
-            unique.setdefault(key, query)
+        unique: dict[str, Query] = dict(items)
         groups: dict[tuple[bool, float], list[tuple[str, Query]]] = defaultdict(list)
         for key, query in unique.items():
             groups[(query.one_port, query.deadline)].append((key, query))
         answers: dict[str, Answer] = {}
         telemetry = active()
         with telemetry.span("api.solve", queries=len(unique), groups=len(groups)):
-            for (one_port, deadline), items in groups.items():
-                self._solve_group(items, one_port=one_port, deadline=deadline, out=answers)
+            for (one_port, deadline), group in groups.items():
+                self._solve_group(group, one_port=one_port, deadline=deadline, out=answers)
         self._count("_solved", len(unique))
         telemetry.counter("api.solved", float(len(unique)))
-        return [answers[key] for key in keys]
+        return [answers[key] for key, _ in items]
 
     def _solve_group(
         self,
@@ -210,11 +208,10 @@ class QueryService:
         LP-backed, LIFO with a reversed return order) — so each answer is
         bit-identical to the scalar reference for its port model.
         """
-        platforms: dict[str, StarPlatform] = {key: query.platform for key, query in items}
         scenarios: list[tuple[StarPlatform, Sequence[str], Sequence[str] | None]] = []
         slots: list[tuple[str, str]] = []
         for key, query in items:
-            platform = platforms[key]
+            platform = query.platform
             for name in query.heuristics:
                 if one_port and name == "LIFO":
                     continue  # closed form, no LP needed
@@ -231,7 +228,7 @@ class QueryService:
             results = []
             for name in query.heuristics:
                 if one_port and name == "LIFO":
-                    result = HEURISTICS["LIFO"](platforms[key], deadline=deadline)
+                    result = HEURISTICS["LIFO"](query.platform, deadline=deadline)
                 else:
                     result = solved[(key, name)]
                 results.append(HeuristicAnswer.from_result(result, query.total_tasks))

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from repro.api import AnswerCache, Query, QueryService, query_key
 from repro.api.cache import KEY_LENGTH
 from repro.core.platform import StarPlatform, Worker
@@ -31,6 +33,14 @@ class TestNumericCanonicalisation:
     def test_int_and_float_literals_hash_equal(self):
         as_ints = {"P1": {"c": 1, "w": 3, "d": 2}, "P2": {"c": 2, "w": 5, "d": 1}}
         assert query_key(Query.build(as_ints)) == query_key(Query.build(COSTS))
+        # Python callers may pass NumPy scalars (only the wire form is strict).
+        as_numpy = {
+            "P1": {"c": np.int64(1), "w": np.float32(3), "d": np.float64(2)},
+            "P2": {"c": np.float32(2), "w": np.int32(5), "d": np.float64(1)},
+        }
+        assert query_key(Query.build(as_numpy, total_tasks=np.int64(1000))) == query_key(
+            Query.build(COSTS)
+        )
 
     def test_mapping_and_object_platform_hash_equal(self):
         platform = StarPlatform(
