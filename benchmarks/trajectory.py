@@ -22,7 +22,10 @@ this script, which distils the run into one JSON line appended to
 * the query service's per-query p50 latency, cold (cache miss, funnel +
   stacked kernel) and cached (content-hash hit), in milliseconds;
 * the wall-clock speedup against the PR-1 engine (reference numbers
-  measured at commit dc51bf3 on the benchmark VM, same scales).
+  measured at commit dc51bf3 on the benchmark VM, same scales);
+* ``src_loc``, the line count of every ``.py`` file under ``src/`` (what
+  ``find src -name '*.py' | xargs cat | wc -l`` prints), so "less code"
+  is tracked next to "faster code".  It is recorded, not gated.
 
 Successive PRs therefore accumulate a perf trajectory instead of
 overwriting it.
@@ -58,6 +61,12 @@ def _git_sha() -> str:
         )
     except Exception:
         return "unknown"
+
+
+def _src_loc() -> int:
+    """Lines of Python under the repository's ``src/`` directory."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return sum(path.read_bytes().count(b"\n") for path in src.rglob("*.py"))
 
 
 def summarise(record_path: str, trajectory_path: str) -> dict:
@@ -98,6 +107,7 @@ def summarise(record_path: str, trajectory_path: str) -> dict:
     entry: dict = {
         "sha": _git_sha(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "src_loc": _src_loc(),
     }
     if campaign is not None:
         platform_count = campaign.get("platform_count")

@@ -27,14 +27,14 @@ Scenario spaces (declarative campaigns over generated platform families)::
     repro-experiments scenarios show mega-uniform --store results
     repro-experiments scenarios export mega-uniform --store results --npz mega.npz
 
-Fault-tolerant multi-worker campaigns (the fabric)::
+Fault-tolerant multi-worker campaigns (local workers)::
 
     repro-experiments scenarios run mega-uniform --store results --workers 4
     repro-experiments scenarios run fig12 --workers 3 --faults "crash-pre@0,hang@2"
     repro-experiments scenarios heal mega-uniform --store results
     repro-experiments scenarios merge mega-uniform --store results
 
-Multi-machine campaigns (the detached tier, any hosts sharing one
+Multi-machine campaigns (detached workers, any hosts sharing one
 directory)::
 
     repro-experiments scenarios work shared/results --space mega-uniform   # on each machine
@@ -42,14 +42,15 @@ directory)::
 
 ``scenarios run`` persists every finished chunk, so an interrupted
 campaign (Ctrl-C, crash) picks up where it left off — ``resume`` is
-``run`` that insists prior results exist.  ``--workers N`` runs the
-lease-based fabric: N worker processes with isolated stores, retry/
-backoff/timeout per chunk, and a canonical merge at the end; ``--faults``
-injects a deterministic chaos schedule (testing).  ``--detached-workers``
-coordinates *external* ``scenarios work`` processes instead of spawning:
-wall-clock leases with heartbeats and skew slack, epoch fencing against
-zombie writers, and an append-only ``coordinator.jsonl`` journal a
-restarted coordinator replays.  ``heal`` recovers a campaign whose
+``run`` that insists prior results exist.  ``--workers N`` and
+``--detached-workers`` run the same lease coordinator: wall-clock leases
+with heartbeats and skew slack, epoch fencing against zombie writers,
+per-worker stores merged canonically, and an append-only
+``coordinator.jsonl`` journal a restarted coordinator replays.
+``--workers N`` also starts N local ``scenarios work`` loops and restarts
+any that crash; ``--faults`` injects a deterministic chaos schedule into
+them (testing).  ``--detached-workers`` leaves the workers to external
+``scenarios work`` processes.  ``heal`` recovers a campaign whose
 coordinator died (merges worker stores, re-evaluates abandoned leases);
 ``merge`` folds worker stores in without healing.
 Every verb works for every workload (matrix, ``bus-*`` sweeps,
@@ -203,26 +204,30 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help="run on the fault-tolerant fabric: N worker processes with "
-            "isolated per-worker stores, chunk leases with retry/backoff/"
-            "timeout, and a canonical merge at the end (results identical "
-            "to a single-writer run)",
+            help="run N local 'scenarios work' processes under the lease "
+            "coordinator: isolated per-worker stores, chunk leases with "
+            "retries and timeouts, crashed workers restarted, and a "
+            "canonical merge at the end (results identical to a "
+            "single-writer run)",
         )
         sub.add_argument(
             "--faults",
             metavar="SPEC",
             default=None,
-            help="inject a deterministic fault schedule (requires --workers): "
-            "comma-separated kind@chunk[:attempt] with kinds crash-pre, "
-            "crash-post, hang, poison, abandon — or random:SEED:RATE",
+            help="inject a deterministic fault schedule into the local "
+            "workers (requires --workers): comma-separated "
+            "kind@chunk[:attempt] with kinds crash-pre, crash-post, hang, "
+            "poison, abandon, partition, zombie — or random:SEED:RATE",
         )
         sub.add_argument(
             "--chunk-timeout",
             type=float,
             default=None,
             metavar="SECONDS",
-            help="per-chunk attempt timeout on the fabric (default: 60); on the "
-            "detached tier this is the lease TTL each heartbeat renews",
+            help="per-attempt budget of one chunk, in seconds (default: 60): "
+            "the lease TTL each heartbeat renews, until the attempt has held "
+            "its lease this long; the lease then expires (after the skew "
+            "slack) and the chunk is re-issued under a bumped epoch",
         )
         sub.add_argument(
             "--detached-workers",
@@ -821,7 +826,7 @@ def _scenarios_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     if args.detached_workers and args.max_chunks is not None:
         parser.error("--max-chunks is not supported with --detached-workers")
     if args.faults is not None and args.workers is None:
-        parser.error("--faults injects faults into fabric workers; it requires --workers")
+        parser.error("--faults injects faults into local workers; it requires --workers")
     if (args.skew_slack is not None or args.wait_timeout is not None) and not args.detached_workers:
         parser.error("--skew-slack/--wait-timeout apply to --detached-workers only")
     kwargs: dict[str, object] = {}
@@ -838,10 +843,11 @@ def _scenarios_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             resume_hint += f" --{flag.replace('_', '-')} {value}"
     from repro.obs import activate as activate_telemetry
 
+    coordinated = args.detached_workers or args.workers is not None
     telemetry = _build_telemetry(args, store.root / spec_hash(spec), "main")
     try:
         with activate_telemetry(telemetry):
-            if args.detached_workers:
+            if coordinated:
                 from repro.scenarios.detached import run_detached_campaign
                 from repro.scenarios.fabric import FaultPolicy
 
@@ -856,28 +862,13 @@ def _scenarios_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                     policy=FaultPolicy(**policy_kwargs),
                     wait_timeout=args.wait_timeout,
                     progress=lambda done, total: print(f"  chunks {done}/{total}", flush=True),
+                    workers=args.workers or 0,
+                    faults=args.faults,
+                    max_chunks=args.max_chunks,
                     **kwargs,
                 )
                 if progress.resumed_from_journal:
                     print("coordinator restarted: journal replayed")
-            elif args.workers is not None:
-                from repro.scenarios.fabric import FaultPolicy, run_fabric_campaign
-
-                policy = (
-                    FaultPolicy(timeout=args.chunk_timeout)
-                    if args.chunk_timeout is not None
-                    else FaultPolicy()
-                )
-                progress = run_fabric_campaign(
-                    spec,
-                    store,
-                    workers=args.workers,
-                    policy=policy,
-                    faults=args.faults,
-                    max_chunks=args.max_chunks,
-                    progress=lambda done, total: print(f"  chunks {done}/{total}", flush=True),
-                    **kwargs,
-                )
             else:
                 progress = run_campaign(
                     spec,
@@ -900,20 +891,12 @@ def _scenarios_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         f"chunks: {progress.completed_after}/{progress.total_chunks} complete "
         f"({progress.completed_after - progress.completed_before} new)"
     )
-    retries = getattr(progress, "retries", 0)
-    degraded = getattr(progress, "degraded_chunks", [])
-    abandoned = getattr(progress, "abandoned_chunks", [])
-    if retries or degraded:
+    if coordinated and (progress.retries or progress.degraded_chunks):
         print(
-            f"fabric: {retries} retried attempt(s), "
-            f"{len(degraded)} chunk(s) degraded to in-parent evaluation"
+            f"fabric: {progress.retries} retried attempt(s), "
+            f"{len(progress.degraded_chunks)} chunk(s) degraded to in-parent evaluation"
         )
-    if abandoned:
-        print(
-            f"abandoned lease(s) on chunk(s) {abandoned}; recover with:\n"
-            f"  repro-experiments scenarios heal {args.space} --store {args.store}"
-        )
-    if not progress.finished and not abandoned:
+    if not progress.finished:
         print(f"campaign incomplete; finish with:\n{resume_hint}")
     if state.row_count():
         print()

@@ -49,6 +49,7 @@ from repro.obs.metrics import (
     write_snapshot,
 )
 from repro.obs.spans import (
+    chunk_progress,
     dropped_sidecar_lines,
     read_jsonl_tolerant,
     read_metric_snapshots,
@@ -100,6 +101,7 @@ __all__ = [
     "analyze_campaign",
     "annotate_span",
     "chrome_trace_events",
+    "chunk_progress",
     "compare_reports",
     "configure_logging",
     "dropped_sidecar_lines",

@@ -39,7 +39,12 @@ from pathlib import Path
 from typing import Any
 
 from repro.obs.metrics import merge_snapshots
-from repro.obs.spans import read_jsonl_tolerant, read_metric_snapshots, read_spans
+from repro.obs.spans import (
+    chunk_progress,
+    read_jsonl_tolerant,
+    read_metric_snapshots,
+    read_spans,
+)
 from repro.obs.trace import parse_ref
 
 __all__ = [
@@ -160,24 +165,6 @@ def _read_journal(path: Path) -> tuple[list[tuple[int, dict]], bool]:
     return entries, True
 
 
-def _read_chunks(path: Path) -> tuple[set[int], int, bool]:
-    """(chunk indices, row count, torn?) of one ``chunks.jsonl``."""
-    records, dropped = read_jsonl_tolerant(path)
-    chunks: set[int] = set()
-    rows = 0
-    for record in records:
-        if "chunk" not in record:
-            continue
-        try:
-            chunks.add(int(record["chunk"]))
-        except (TypeError, ValueError):
-            continue
-        payload = record.get("rows")
-        if isinstance(payload, list):
-            rows += len(payload)
-    return chunks, rows, dropped > 0
-
-
 def _load_campaign(campaign_dir: Path) -> _CampaignData:
     campaign_dir = Path(campaign_dir)
     telemetry_dir = campaign_dir / "telemetry"
@@ -191,7 +178,7 @@ def _load_campaign(campaign_dir: Path) -> _CampaignData:
             record = _read_json(path)
             if record is not None:
                 leases.append(record)
-    chunk_indices, rows, store_torn = _read_chunks(campaign_dir / "chunks.jsonl")
+    chunk_indices, rows, store_torn = chunk_progress(campaign_dir / "chunks.jsonl")
     return _CampaignData(
         directory=campaign_dir,
         spans=spans,

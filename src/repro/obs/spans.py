@@ -11,7 +11,8 @@ lines and report how many they dropped instead of aborting anything.
 :func:`read_jsonl_tolerant` is that reader (shared with ``scenarios
 show``'s torn-tail diagnostics); :func:`read_spans` and
 :func:`read_metric_snapshots` glob a whole sidecar directory — the read
-side used by ``scenarios status``.
+side used by ``scenarios status``; :func:`chunk_progress` reads a store's
+progress the same tolerant way.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from pathlib import Path
 __all__ = [
     "SPAN_FILE_GLOB",
     "METRICS_FILE_GLOB",
+    "chunk_progress",
     "dropped_sidecar_lines",
     "read_jsonl_tolerant",
     "read_metric_snapshots",
@@ -60,6 +62,31 @@ def read_jsonl_tolerant(path: Path) -> tuple[list[dict], int]:
         else:
             dropped += 1
     return records, dropped
+
+
+def chunk_progress(chunks_path: str | Path) -> tuple[set[int], int, bool]:
+    """``(chunk indices, row count, torn?)`` of one ``chunks.jsonl``.
+
+    The read-only progress probe of ``scenarios status`` and ``scenarios
+    report``: an observer must never open a live store writable (a
+    repairing open would truncate a torn tail the owner is still
+    appending behind).  Torn or malformed lines are skipped and flag the
+    file as torn; a missing file yields zeros.
+    """
+    records, dropped = read_jsonl_tolerant(Path(chunks_path))
+    chunks: set[int] = set()
+    rows = 0
+    for record in records:
+        if "chunk" not in record:
+            continue
+        try:
+            chunks.add(int(record["chunk"]))
+        except (TypeError, ValueError):
+            continue
+        payload = record.get("rows")
+        if isinstance(payload, list):
+            rows += len(payload)
+    return chunks, rows, dropped > 0
 
 
 def read_spans(telemetry_dir: Path) -> tuple[list[dict], int]:

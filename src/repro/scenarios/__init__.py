@@ -13,9 +13,7 @@ batched scenario kernel and the parallel sweep engine:
 * :mod:`repro.workloads.sampling` (one layer below) — the vectorised
   sampler that materialises whole platform families directly as stacked
   ``(batch, q)`` cost tables feeding the batched kernels — bit-identical
-  to the object path on the paper's factor sets (the historical
-  :mod:`repro.scenarios.sampler` facade still re-exports it but is
-  deprecated and warns on import);
+  to the object path on the paper's factor sets;
 * :mod:`repro.scenarios.store` — an append-only, resumable result store
   keyed by spec hash and chunk index, with streaming aggregation and a
   columnar ``.npz`` export;
@@ -24,20 +22,20 @@ batched scenario kernel and the parallel sweep engine:
   resumes interrupted mega-campaigns where they left off; two-port spaces
   flow through the two-port kernel (:mod:`repro.core.batch_twoport`) and
   the merge-ordered analytic replay;
-* :mod:`repro.scenarios.fabric` — the fault-tolerant multi-worker tier:
-  chunk leases, per-worker stores, retry/backoff/degradation, epoch
-  fencing and a crash-recoverable coordinator journal;
-* :mod:`repro.scenarios.detached` — the multi-machine tier: detached
-  ``scenarios work`` workers over one shared directory, wall-clock leases
-  with heartbeats and skew slack, and an observing (never spawning)
-  coordinator.
+* :mod:`repro.scenarios.fabric` — the lease protocol of multi-worker
+  campaigns: chunk leases, per-worker stores, attempt budgets and
+  degradation, epoch fencing, the coordinator journal and healing;
+* :mod:`repro.scenarios.detached` — the one coordinator and its
+  ``scenarios work`` workers, local (``run --workers N``) or on any
+  machines sharing the directory: wall-clock leases with heartbeats and
+  skew slack, supervised local workers, journaled decisions.
 
 The CLI front end is ``repro-experiments scenarios
 list/run/resume/show/export/work/heal/merge``.
 
-The runner builds on :mod:`repro.experiments` (which itself consumes the
-sampler), so its symbols are exposed lazily here to keep the import graph
-acyclic — ``from repro.scenarios import run_campaign`` works either way.
+The runner builds on :mod:`repro.experiments`, so its symbols (and the
+fabric's, which build on the runner) are exposed lazily here —
+``from repro.scenarios import run_campaign`` works either way.
 """
 
 from repro.workloads.sampling import FactorTable, base_costs, cost_table, sample_factors
@@ -78,13 +76,11 @@ __all__ = [
     "run_campaign",
     "FaultInjector",
     "FaultPolicy",
-    "FabricProgress",
     "HealReport",
     "CoordinatorJournal",
     "Lease",
     "heal_campaign",
     "merge_worker_stores",
-    "run_fabric_campaign",
     "DetachedProgress",
     "FabricAdvert",
     "WorkerReport",
@@ -93,19 +89,16 @@ __all__ = [
 ]
 
 #: Runner/fabric symbols resolved on first access (PEP 562): the runner
-#: imports the experiment layer, which imports the sampler from this
-#: package, and the fabric builds on the runner.
+#: imports the experiment layer, and the fabric builds on the runner.
 _RUNNER_EXPORTS = {"CampaignProgress", "run_campaign", "aggregate_figure", "plan_chunks"}
 _FABRIC_EXPORTS = {
     "FaultInjector",
     "FaultPolicy",
-    "FabricProgress",
     "HealReport",
     "CoordinatorJournal",
     "Lease",
     "heal_campaign",
     "merge_worker_stores",
-    "run_fabric_campaign",
 }
 _DETACHED_EXPORTS = {
     "DetachedProgress",

@@ -1,27 +1,31 @@
-"""Multi-machine campaign fabric: detached workers over a shared directory.
+"""The campaign coordinator and its workers, over one shared directory.
 
-The in-process fabric (:mod:`repro.scenarios.fabric`) spawns its workers
-and enforces lease expiry on a logical tick clock it owns — which cannot
-express cross-machine expiry.  This module is the **detached tier**: any
-number of ``scenarios work`` processes, on any machines that see one
-shared directory, cooperate through plain files only:
+Any number of ``scenarios work`` processes, on any machines that see one
+shared directory, cooperate through plain files only (the protocol
+pieces live in :mod:`repro.scenarios.fabric`):
 
 * the coordinator (:func:`run_detached_campaign`) publishes the campaign
   **advert** (``fabric.json``: chunk size, lease TTL, skew slack, attempt
-  budget) and then *observes* — it spawns nothing;
+  budget) and then *observes*: it merges worker stores, expires dead
+  leases, degrades exhausted chunks and journals every decision.  With
+  ``workers=N`` (``scenarios run --workers N``) it also forks N local
+  worker loops and restarts any that die; otherwise (``--detached-workers``)
+  the workers are external;
 * each worker (:func:`work_loop`) runs a long-lived
   claim → evaluate → append → release loop: claims are **atomic file
   creations** (``os.link`` of a private temp lease — exactly one claimant
   wins a race), appends go to the worker's own isolated store, heartbeats
-  rewrite the lease atomically every ``ttl / 4`` seconds;
+  rewrite the lease atomically every ``ttl / 4`` seconds until the
+  attempt has held it for one TTL (its per-attempt budget);
 * expiry is **wall-clock with skew slack**: nobody declares a lease dead
   before ``deadline + skew_slack``, so modest clock skew between machines
   never causes a false takeover;
 * every takeover bumps the chunk's lease **epoch** and records a fence
-  (:func:`~repro.scenarios.fabric.record_fence`): a partitioned or zombie
-  worker that appends under a superseded epoch is fenced out of the
-  canonical store at merge time, and a worker that notices the takeover
-  at heartbeat-renewal time abandons its chunk *before* append time;
+  (:func:`~repro.scenarios.fabric.record_fence`): a partitioned, hung or
+  zombie worker that appends under a superseded epoch is fenced out of
+  the canonical store at merge time, and a worker that notices the
+  takeover at heartbeat-renewal time abandons its chunk *before* append
+  time;
 * the coordinator journals every decision to ``coordinator.jsonl``
   (:class:`~repro.scenarios.fabric.CoordinatorJournal`), so a restarted
   coordinator — or ``scenarios heal`` — reconstructs campaign state
@@ -36,7 +40,7 @@ Chunk results are deterministic functions of the spec, so every recovery
 path — crash, hang, partition, zombie, clock skew, coordinator kill +
 restart — converges to a ``chunks.jsonl`` byte-identical to an
 uninterrupted single-writer run (pinned by the tests and the CI chaos
-smoke).
+smokes).
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import signal
@@ -65,13 +70,11 @@ from repro.scenarios.fabric import (
     FaultPolicy,
     Lease,
     _DEGRADED_OWNER,
-    _EXIT_CRASH_POST,
-    _EXIT_CRASH_PRE,
     _cleanup_if_complete,
-    _torn_append,
     lease_directory,
     read_fences,
     read_lease,
+    read_leases,
     record_fence,
     worker_directory,
     worker_store_paths,
@@ -106,6 +109,11 @@ DEFAULT_CLAIM_POLL = 0.25
 #: partition sleeps past its lease deadline, so the takeover it is meant
 #: to collide with has definitely been possible.
 _TAKEOVER_GRACE = 0.5
+
+#: Worker exit codes for the injected crashes (any non-zero exit is
+#: treated the same; these just aid debugging).
+_EXIT_CRASH_PRE = 23
+_EXIT_CRASH_POST = 24
 
 
 def default_owner() -> str:
@@ -353,6 +361,10 @@ class _Heartbeat:
     longer names this owner/epoch was **taken over** (we were partitioned
     or too slow), and the worker must abandon the chunk before append
     time.  ``fenced`` latches that observation.
+
+    Renewal stops once the attempt has held its lease for one TTL (the
+    per-attempt timeout): a genuinely hung attempt's lease then runs out,
+    is fenced and re-issued, and its late append is fenced out at merge.
     """
 
     def __init__(
@@ -384,7 +396,15 @@ class _Heartbeat:
                     epoch=self.lease.epoch,
                 )
                 return
-            self.lease = self.lease.renewed(self.now())
+            moment = self.now()
+            if moment - self.lease.granted_at >= self.lease.ttl:
+                logger.warning(
+                    "chunk attempt exceeded its timeout; letting the lease expire",
+                    owner=self.lease.owner, chunk=self.lease.chunk,
+                    epoch=self.lease.epoch,
+                )
+                return
+            self.lease = self.lease.renewed(moment)
             try:
                 self.lease.write(self.leases_dir)
                 obs.active().counter("worker.heartbeats")
@@ -423,11 +443,13 @@ def work_loop(
     coordinator; the worker waits up to ``wait`` seconds for them, so
     workers may be started first.
 
-    ``faults`` acts out this worker's injected chaos, including the
-    machine-tier kinds: ``partition`` computes without heartbeating and
-    abandons if taken over; ``zombie`` sleeps past its own expiry and
-    appends under its stale (fenced) epoch anyway; ``skew:SECONDS``
-    offsets every clock read this worker makes.
+    ``faults`` acts out this worker's injected chaos: ``crash-pre`` /
+    ``crash-post`` kill the process around the append; ``hang`` sleeps
+    past its own expiry; ``abandon`` walks away from its claim;
+    ``poison`` surrenders the lease; ``partition`` computes without
+    heartbeating and abandons if taken over; ``zombie`` sleeps past its
+    own expiry and appends under its stale (fenced) epoch anyway;
+    ``skew:SECONDS`` offsets every clock read this worker makes.
     """
     campaign_dir = Path(campaign_dir)
     if isinstance(faults, str):
@@ -464,9 +486,9 @@ def work_loop(
         # name the coordinator's root span as their causal parent.
         obs.active().adopt_trace(advert.trace, advert.parent)
     plan = plan_chunks_from_advert(spec, advert)
-    leases_dir = lease_directory_of(campaign_dir)
+    leases_dir = lease_directory(campaign_dir)
     leases_dir.mkdir(parents=True, exist_ok=True)
-    worker_state = CampaignState(campaign_dir / "workers" / owner, spec)
+    worker_state = CampaignState(worker_directory(campaign_dir, owner), spec)
     heartbeat_interval = max(0.05, advert.ttl / 4.0)
 
     claimed_budget = max_chunks if max_chunks is not None else None
@@ -496,10 +518,6 @@ def work_loop(
     logger.info(report.describe())
     obs.active().flush()
     return report
-
-
-def lease_directory_of(campaign_dir: Path) -> Path:
-    return Path(campaign_dir) / "leases"
 
 
 def plan_chunks_from_advert(spec: ScenarioSpec, advert: FabricAdvert) -> list[tuple[int, int]]:
@@ -585,7 +603,7 @@ def _claim_next(
             continue
         if not _take_over_lease(leases_dir, current):
             continue
-        record_fence_at(leases_dir.parent, chunk, next_epoch)
+        record_fence(leases_dir.parent, chunk, next_epoch)
         lease = Lease(
             chunk=chunk, start=start, stop=stop_platform, owner=owner,
             epoch=next_epoch, granted_at=moment, heartbeat_at=moment,
@@ -604,11 +622,19 @@ def _claim_next(
     return None
 
 
-def record_fence_at(campaign_dir: Path, chunk: int, epoch: int) -> None:
-    """``record_fence`` addressed by directory (workers hold no state)."""
-    line = json.dumps({"chunk": int(chunk), "epoch": int(epoch)}, sort_keys=True)
-    with open(Path(campaign_dir) / "fences.jsonl", "a", encoding="utf-8") as handle:
-        handle.write(line + "\n")
+def _torn_append(state: CampaignState, chunk: int, start: int, stop: int, rows) -> None:
+    """Simulate a crash mid-append: half the record's bytes, fsynced.
+
+    This is exactly the torn tail the store's recovery path handles —
+    written deliberately (and fsynced, so the test observes it
+    deterministically) before the injected kill.
+    """
+    payload = json.dumps(
+        {"chunk": chunk, "start": int(start), "stop": int(stop), "rows": list(rows)},
+        sort_keys=True,
+    ).encode("utf-8")
+    with open(state.chunks_path, "ab") as handle:
+        handle.write(payload[: max(1, len(payload) // 2)])
         handle.flush()
         os.fsync(handle.fileno())
 
@@ -639,11 +665,14 @@ def _work_one_chunk(
         telemetry.counter("worker.completed")
         return
 
-    if fault == "hang":
-        # A hung worker stops making progress *and* stops heartbeating:
-        # sleep past our own expiry, then abandon — someone else has (or
-        # will have) taken the chunk over.
-        _sleep_past_expiry(lease, advert, now)
+    if fault in ("hang", "abandon"):
+        if fault == "hang":
+            # A hung worker stops making progress *and* stops heartbeating:
+            # sleep past our own expiry, then abandon — someone else has
+            # (or will have) taken the chunk over.
+            _sleep_past_expiry(lease, advert, now)
+        # An abandoning worker walks away at once: no heartbeat, no
+        # release — the lease runs out and is re-issued.
         report.abandoned.append(chunk)
         telemetry.counter("worker.abandoned")
         return
@@ -733,7 +762,7 @@ def _sleep_past_expiry(lease: Lease, advert: FabricAdvert, now: Callable[[], flo
 
 
 # ---------------------------------------------------------------------------
-# The detached coordinator: publish, observe, expire, degrade, merge
+# The coordinator: publish, supervise, observe, expire, degrade, merge
 # ---------------------------------------------------------------------------
 
 
@@ -763,6 +792,79 @@ class DetachedProgress:
         return self.state.aggregate(quantiles=quantiles)
 
 
+class _LocalWorkers:
+    """The coordinator's own forked :func:`work_loop` processes.
+
+    Owners are ``w0`` … ``w<N-1>``; ``max_chunks`` is split into
+    per-worker claim budgets (a worker whose share is zero never starts).
+    """
+
+    def __init__(
+        self,
+        campaign_dir: Path,
+        spec: ScenarioSpec,
+        count: int,
+        faults: FaultInjector | None,
+        poll: float,
+        max_chunks: int | None,
+    ) -> None:
+        methods = multiprocessing.get_all_start_methods()
+        self._context = multiprocessing.get_context("fork" if "fork" in methods else None)
+        self._args = (str(campaign_dir),)
+        self._kwargs = dict(faults=faults, poll=poll, spec=spec)
+        share, extra = divmod(max_chunks or 0, count)
+        self.budgets = {
+            f"w{slot}": None if max_chunks is None else share + (slot < extra)
+            for slot in range(count)
+        }
+        self.processes: dict[str, multiprocessing.Process] = {}
+        for owner, budget in self.budgets.items():
+            if budget != 0:
+                self._start(owner)
+
+    def _start(self, owner: str) -> None:
+        process = self._context.Process(
+            target=work_loop,
+            args=self._args,
+            kwargs=dict(owner=owner, max_chunks=self.budgets[owner], **self._kwargs),
+            daemon=True,
+        )
+        process.start()
+        self.processes[owner] = process
+
+    def restart(self, owner: str) -> None:
+        """Restart a dead worker; a budgeted one's budget died with it."""
+        if self.budgets[owner] is None:
+            self._start(owner)
+        else:
+            del self.processes[owner]
+
+    def failed(self) -> list[tuple[str, int]]:
+        """``(owner, exit code)`` of every worker that exited non-zero."""
+        return [
+            (owner, process.exitcode)
+            for owner, process in self.processes.items()
+            if process.exitcode not in (None, 0)
+        ]
+
+    @property
+    def finished(self) -> bool:
+        """Whether every worker has exited 0 (budget spent or plan done)."""
+        return all(process.exitcode == 0 for process in self.processes.values())
+
+    def stop(self, grace: float = 1.0) -> None:
+        """Give the workers ``grace`` seconds to exit, then terminate them."""
+        deadline = time.monotonic() + grace
+        for process in self.processes.values():
+            process.join(timeout=max(0.0, deadline - time.monotonic()))
+            if process.is_alive():
+                process.terminate()
+                process.join(timeout=5.0)
+            if process.is_alive():
+                process.kill()
+                process.join()
+
+
 def run_detached_campaign(
     spec: ScenarioSpec,
     store: CampaignStore | str | Path,
@@ -770,8 +872,11 @@ def run_detached_campaign(
     policy: FaultPolicy | None = None,
     wait_timeout: float | None = None,
     progress: Callable[[int, int], None] | None = None,
+    workers: int = 0,
+    faults: FaultInjector | str | None = None,
+    max_chunks: int | None = None,
 ) -> DetachedProgress:
-    """Coordinate a campaign worked by detached ``scenarios work`` processes.
+    """Coordinate a campaign worked by ``scenarios work`` loops.
 
     Publishes the campaign advert, then **observes** the shared directory
     until the plan is complete: worker stores are merged eagerly (through
@@ -781,13 +886,34 @@ def run_detached_campaign(
     chunk whose attempt budget is exhausted **degrades** to an in-parent
     evaluation.  Every decision is journaled to ``coordinator.jsonl``; a
     restarted coordinator replays the journal and resumes the same
-    campaign — re-running it is always safe.
+    campaign — re-running it is always safe.  The result store is
+    byte-identical to a single-writer
+    :func:`~repro.scenarios.runner.run_campaign` of the same spec.
+
+    ``workers=N`` forks N local :func:`work_loop` processes (owners
+    ``w0`` … ``w<N-1>``, acting out ``faults`` — a
+    :class:`~repro.scenarios.fabric.FaultInjector` or its CLI spec) and
+    supervises them: one that exits non-zero has its leases expired at
+    once and is restarted under the same owner.  The call returns when
+    the plan is complete or every local worker has exited 0.
+    ``max_chunks`` is split into the local workers' claim budgets; a
+    budgeted worker that dies is not restarted.  With ``workers=0`` the
+    workers are external (``scenarios work`` on any machine).
 
     ``wait_timeout`` bounds the observation loop (``None`` waits until
     complete); on expiry the campaign state is left intact for
     ``scenarios heal`` or a restarted coordinator, and the error names
     the store so the hint is copy-pasteable.
     """
+    if workers < 0:
+        raise ExperimentError(f"workers must be non-negative (got {workers})")
+    if max_chunks is not None and (max_chunks < 0 or not workers):
+        raise ExperimentError(
+            f"max_chunks must be non-negative and budgets local workers "
+            f"(got max_chunks={max_chunks}, workers={workers})"
+        )
+    if isinstance(faults, str):
+        faults = FaultInjector.from_spec(faults)
     if isinstance(store, (str, Path)):
         store = CampaignStore(store)
     policy = policy or FaultPolicy()
@@ -838,10 +964,11 @@ def run_detached_campaign(
         _cleanup_if_complete(state, len(chunks))
         return result
 
-    lease_directory(state).mkdir(parents=True, exist_ok=True)
+    leases_dir = lease_directory(state)
+    leases_dir.mkdir(parents=True, exist_ok=True)
     # The coordinator root span opens before the advert is written so the
-    # advert can carry its ref — detached workers adopt it as the causal
-    # parent of their claim spans.
+    # advert can carry its ref — workers adopt it as the causal parent of
+    # their claim spans.
     root_span = telemetry.span(
         "coordinate",
         tier="detached",
@@ -871,10 +998,35 @@ def run_detached_campaign(
         plan_fields["trace"] = telemetry.trace_id
     journal.append("plan", **plan_fields)
 
-    leases_dir = lease_directory(state)
+    def expire(lease: Lease, fences: dict[int, int], reason: str) -> None:
+        """Take a dead lease over: fence it, then requeue or degrade."""
+        if not _take_over_lease(leases_dir, lease):
+            return
+        next_epoch = max(lease.epoch, fences.get(lease.chunk, 0)) + 1
+        record_fence(state, lease.chunk, next_epoch)
+        result.expired_leases += 1
+        obs.active().counter("coordinator.expired_leases")
+        journal.append("expire", chunk=lease.chunk, owner=lease.owner, epoch=lease.epoch)
+        if next_epoch >= policy.max_attempts:
+            _degrade_chunk(state, chunks, lease.chunk, result, journal)
+        else:
+            result.retries += 1
+            journal.append(
+                "requeue",
+                chunk=lease.chunk,
+                attempt=lease.epoch,
+                fence=next_epoch,
+                reason=reason,
+            )
+
+    local = None
     deadline = None if wait_timeout is None else time.monotonic() + wait_timeout
     reported = before
     try:
+        if workers:
+            local = _LocalWorkers(
+                state.directory, spec, workers, faults, policy.poll_interval, max_chunks
+            )
         while True:
             merged = merge_worker_snapshots(state)
             if merged.added:
@@ -885,6 +1037,17 @@ def run_detached_campaign(
                 progress(reported, len(chunks))
             if len(done) >= len(chunks):
                 break
+            if local is not None:
+                for owner, code in local.failed():
+                    # A dead local worker's leases are surrendered at once
+                    # instead of waiting out their TTL and skew slack.
+                    logger.warning("local worker died; restarting it", owner=owner, exit=code)
+                    for lease in read_leases(state):
+                        if lease.owner == owner and lease.chunk not in done:
+                            expire(lease, read_fences(state), f"worker exited {code}")
+                    local.restart(owner)
+                if local.finished:
+                    break
             now = time.time()
             fences = read_fences(state)
             for path in sorted(leases_dir.glob("chunk-*.json")):
@@ -897,28 +1060,8 @@ def run_detached_campaign(
                 if lease.chunk in done:
                     path.unlink(missing_ok=True)
                     continue
-                if not lease.expired(now, policy.skew_slack):
-                    continue
-                if not _take_over_lease(leases_dir, lease):
-                    continue
-                next_epoch = max(lease.epoch, fences.get(lease.chunk, 0)) + 1
-                record_fence(state, lease.chunk, next_epoch)
-                result.expired_leases += 1
-                obs.active().counter("coordinator.expired_leases")
-                journal.append(
-                    "expire", chunk=lease.chunk, owner=lease.owner, epoch=lease.epoch
-                )
-                if next_epoch >= policy.max_attempts:
-                    _degrade_chunk(state, chunks, lease.chunk, result, journal)
-                else:
-                    result.retries += 1
-                    journal.append(
-                        "requeue",
-                        chunk=lease.chunk,
-                        attempt=lease.epoch,
-                        fence=next_epoch,
-                        reason="lease expired",
-                    )
+                if lease.expired(now, policy.skew_slack):
+                    expire(lease, fences, "lease expired")
             if deadline is not None and time.monotonic() >= deadline:
                 raise ExperimentError(
                     f"detached campaign did not complete within {wait_timeout:.1f}s "
@@ -928,6 +1071,8 @@ def run_detached_campaign(
                 )
             time.sleep(policy.poll_interval)
     finally:
+        if local is not None:
+            local.stop()
         final = merge_worker_snapshots(state)
         result.merge = final
         result.completed_after = len(state.completed_chunks)
@@ -956,8 +1101,7 @@ def _degrade_chunk(
     """Attempt budget exhausted: evaluate in the coordinator itself.
 
     The degraded store carries no epoch metadata, so its chunks are
-    trusted over any fence — the slow but sure path, same as the
-    in-process tier.
+    trusted over any fence — the slow but sure path.
     """
     start, stop = chunks[chunk]
     rows = evaluate_range(state.spec, start, stop)

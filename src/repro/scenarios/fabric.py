@@ -1,48 +1,36 @@
-"""Fault-tolerant multi-worker campaign fabric.
+"""The lease protocol every multi-writer campaign shares.
 
 The streaming store (:mod:`repro.scenarios.store`) already defines an
 idempotent work-unit protocol — spec content hash + ``[start, stop)``
-chunk ranges + fsynced appends — but the single-writer runner owns every
-campaign end to end: a worker crash, hang or torn write beyond the parent
-process is unrecoverable.  This module turns the protocol into a
-coordinator/worker **fabric**:
+chunk ranges + fsynced appends.  This module holds the pieces that turn
+it into a fault-tolerant **fabric** of many writers over one campaign
+directory; the coordinator and the worker loop that drive them live in
+:mod:`repro.scenarios.detached`:
 
-* the coordinator shards a campaign's chunk plan into **leases** — one
-  JSON file per chunk range carrying the owner id, an epoch and a logical
-  heartbeat deadline — and hands them to ``workers`` processes;
-* every worker appends finished chunks to its own isolated per-worker
-  :class:`~repro.scenarios.store.CampaignState` (``workers/<owner>/``
-  under the campaign directory), so no two writers ever share a file;
-* a :class:`FaultPolicy` wraps each chunk attempt: a crashed or failed
-  attempt is retried with a deterministic backoff schedule and a bumped
-  lease epoch; a worker that outlives its lease's logical deadline (a
-  hang) is killed and its chunk re-leased; a chunk that exhausts its
-  attempt budget degrades gracefully to an in-parent evaluation;
-* when the plan is complete the per-worker stores are **merged** into the
+* **leases** — one JSON file per chunk range (``leases/chunk-NNNNNN.json``)
+  naming the owner, an epoch and a wall-clock deadline that heartbeats
+  extend; nobody may declare a lease expired before ``deadline +
+  skew_slack``, so modest clock skew between machines never causes a
+  false takeover;
+* **epoch fences** (``fences.jsonl``) — every re-issued lease bumps the
+  chunk's epoch and records a fence, so a zombie attempt's late append
+  can never enter the canonical store;
+* a :class:`FaultPolicy` (attempt budget, per-attempt timeout, skew
+  slack) and a deterministic :class:`FaultInjector` for chaos runs;
+* the **coordinator journal** (``coordinator.jsonl``), from which a
+  restarted coordinator — or :func:`heal_campaign` — reconstructs its
+  decisions instead of inferring them;
+* the **merge** of per-worker stores (``workers/<owner>/``) into the
   canonical one (:meth:`CampaignState.merge` — chunk-index-keyed,
   idempotent, duplicate-tolerant, spec-hash-checked), producing a
   ``chunks.jsonl`` byte-identical to an uninterrupted single-writer run;
-* :func:`heal_campaign` recovers a campaign whose *coordinator* died:
-  worker stores are merged (crash-after-append chunks surface here),
-  abandoned leases are re-evaluated in the healing parent, and stale
-  lease files are cleared.
+* :func:`heal_campaign`, which recovers a campaign whose coordinator
+  died: worker stores are merged, expired leases are re-evaluated in the
+  healing parent, and stale lease files are cleared.
 
 Chunk results are deterministic functions of the spec, so every recovery
-path converges to the same bytes — the :class:`FaultInjector` and the
-test-suite's fault matrix (crash-before-fsync, crash-after-append, hangs,
-poisoned chunks, abandoned leases) pin exactly that.
-
-Workers are **processes or machines**: the lease files, the per-worker
-stores and the merge need nothing but a shared directory.  The in-process
-tier (this module's coordinator) keeps its logical tick clock; the
-**multi-machine tier** (:mod:`repro.scenarios.detached`) layers wall-clock
-leases on the same files — ``deadline``/``heartbeat_at`` epoch-seconds
-fields with a configurable skew slack, heartbeat renewals via atomic
-lease rewrites, **epoch fencing** (a re-issued lease bumps the chunk's
-epoch and records a fence; a zombie worker's stale-epoch append can never
-enter the canonical store), and an append-only ``coordinator.jsonl``
-journal from which a restarted coordinator — or :func:`heal_campaign` —
-reconstructs its decisions instead of inferring them.
+path converges to the same bytes — the fault matrices of the test-suite
+pin exactly that.
 """
 
 from __future__ import annotations
@@ -50,8 +38,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
-import multiprocessing
 import os
 import shutil
 import tempfile
@@ -63,12 +49,7 @@ from typing import Callable, Iterator, Mapping, Sequence
 import repro.obs as obs
 from repro.exceptions import ExperimentError
 from repro.obs import get_logger
-from repro.scenarios.runner import (
-    DEFAULT_CHUNK_SIZE,
-    evaluate_range,
-    plan_chunks,
-    validate_plan,
-)
+from repro.scenarios.runner import DEFAULT_CHUNK_SIZE, evaluate_range, plan_chunks
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import CampaignState, CampaignStore, MergeReport
 
@@ -77,7 +58,6 @@ __all__ = [
     "FAULT_KINDS",
     "ChunkFault",
     "CoordinatorJournal",
-    "FabricProgress",
     "FaultInjector",
     "FaultPolicy",
     "HealReport",
@@ -89,20 +69,18 @@ __all__ = [
     "read_lease",
     "read_leases",
     "record_fence",
-    "run_fabric_campaign",
     "worker_store_paths",
 ]
 
 logger = get_logger(__name__)
 
-#: Injectable fault kinds.  ``crash-pre``/``crash-post``/``hang``/
-#: ``poison`` fire inside a worker; ``abandon`` is coordinator-side (the
-#: lease is written but its worker "vanishes" without ever running);
-#: ``partition`` (stop heartbeating but keep computing) and ``zombie``
-#: (wake up after being fenced and append anyway) are machine-tier faults
-#: acted out fully by the detached work loop
-#: (:mod:`repro.scenarios.detached`) — the in-process tier, whose expired
-#: workers are killed outright, maps both to a hang.
+#: Injectable fault kinds, all acted out by the worker that claims the
+#: chunk: ``crash-pre``/``crash-post`` kill it around the append,
+#: ``hang`` stops it (and its heartbeats) past its lease's expiry,
+#: ``poison`` fails the chunk, ``abandon`` walks away from the claim
+#: without heartbeating or releasing, ``partition`` keeps computing
+#: without heartbeating, and ``zombie`` wakes up after being fenced and
+#: appends anyway.
 FAULT_KINDS = ("crash-pre", "crash-post", "hang", "poison", "abandon", "partition", "zombie")
 
 #: Default wall-clock slack added to a lease deadline before another
@@ -110,20 +88,7 @@ FAULT_KINDS = ("crash-pre", "crash-post", "hang", "poison", "abandon", "partitio
 #: never cause a false takeover.
 DEFAULT_SKEW_SLACK = 2.0
 
-#: How long an injected hang sleeps.  Far beyond any sane per-chunk
-#: timeout; the coordinator kills the worker long before it wakes.
-_HANG_SECONDS = 600.0
-
-#: Worker exit codes for the injected crashes (any non-zero exit with no
-#: persisted chunk is treated the same; these just aid debugging).
-_EXIT_CRASH_PRE = 23
-_EXIT_CRASH_POST = 24
-_EXIT_FAILURE = 21
-
-#: Owner id recorded on an ``abandon`` lease: a worker that never existed.
-_LOST_OWNER = "lost"
-
-#: Reserved per-worker store names used by the parent itself.
+#: Reserved per-worker store names used by the coordinator itself.
 _DEGRADED_OWNER = "degraded"
 _HEAL_OWNER = "heal"
 
@@ -137,22 +102,19 @@ _HEAL_OWNER = "heal"
 class FaultPolicy:
     """Retry/timeout/backoff policy wrapping every chunk attempt.
 
-    ``max_attempts`` bounds worker-side tries per chunk; once exhausted
-    the chunk **degrades gracefully** to an in-parent evaluation (the
-    parent runs no injected faults and no process machinery — the slow
-    but sure path).  ``backoff(attempt)`` is deterministic —
+    ``max_attempts`` bounds the lease epochs a chunk may be worked
+    under; once exhausted the chunk **degrades gracefully** to an
+    evaluation in the coordinator (no injected faults, no worker — the
+    slow but sure path).  ``backoff(attempt)`` is deterministic —
     ``base * factor**attempt`` capped at ``cap`` seconds, no jitter — so
     fault schedules replay identically.  ``timeout`` is the per-attempt
-    wall-clock budget.  The in-process tier enforces it through the
-    lease's logical heartbeat deadline: the coordinator advances one tick
-    per ``poll_interval`` sleep, and a lease that lives past
-    ``timeout / poll_interval`` ticks is expired (its worker killed, the
-    chunk re-leased).  The detached (multi-machine) tier enforces it on
-    the wall clock instead: a lease's ``deadline`` is ``timeout`` seconds
-    past its last heartbeat, workers renew every
-    :attr:`heartbeat_interval` seconds, and nobody may declare a lease
-    expired until ``skew_slack`` seconds *past* its deadline — so modest
-    clock skew between machines never causes a false takeover.
+    wall-clock budget and the lease TTL: a lease's ``deadline`` is
+    ``timeout`` seconds past its last heartbeat, workers renew every
+    :attr:`heartbeat_interval` seconds but stop renewing once the
+    attempt has held its lease for ``timeout`` seconds, and nobody may
+    declare a lease expired until ``skew_slack`` seconds *past* its
+    deadline — so modest clock skew between machines never causes a
+    false takeover, and a hung attempt is re-issued under a bumped epoch.
     """
 
     max_attempts: int = 3
@@ -186,7 +148,7 @@ class FaultPolicy:
 
     @property
     def heartbeat_interval(self) -> float:
-        """Seconds between a detached worker's lease renewals.
+        """Seconds between a worker's lease renewals.
 
         A quarter of the lease TTL: several renewals can be lost (a slow
         shared filesystem, a stalled worker) before the lease expires.
@@ -200,11 +162,6 @@ class FaultPolicy:
     def backoff_schedule(self) -> tuple[float, ...]:
         """The full deterministic backoff sequence, one delay per retry."""
         return tuple(self.backoff(attempt) for attempt in range(self.max_attempts - 1))
-
-    @property
-    def lease_ttl_ticks(self) -> int:
-        """Logical heartbeat budget of one lease, in coordinator ticks."""
-        return max(1, math.ceil(self.timeout / self.poll_interval))
 
     def run(
         self,
@@ -277,7 +234,7 @@ class FaultInjector:
         crash-post@4:1         # crash after fsync, chunk 4, attempt 1
         hang@1                 # chunk 1's first attempt hangs
         poison@3:*             # chunk 3 fails on every worker attempt
-        abandon@5              # chunk 5's lease is written, worker vanishes
+        abandon@5              # chunk 5 is claimed, then walked away from
         partition@1            # stop heartbeating on chunk 1, keep computing
         zombie@2               # sleep past expiry on chunk 2, append anyway
         skew:3.5               # this worker's clock runs 3.5 s fast (or
@@ -407,23 +364,14 @@ class FaultInjector:
     def worker_fault(self, chunk: int, attempt: int) -> str | None:
         """The fault (if any) a worker must act out at ``(chunk, attempt)``."""
         for fault in self.faults:
-            if fault.kind != "abandon" and fault.fires(chunk, attempt):
+            if fault.fires(chunk, attempt):
                 return fault.kind
         kind = self._seeded_fault(chunk)
-        if kind is not None and kind != "abandon":
+        if kind is not None:
             # Seeded worker faults fire on the first attempt only (poison
             # fires always): every seeded schedule must converge.
             if kind == "poison" or attempt == 0:
                 return kind
-        return None
-
-    def coordinator_fault(self, chunk: int) -> str | None:
-        """Coordinator-side fault for ``chunk`` (currently only abandon)."""
-        for fault in self.faults:
-            if fault.kind == "abandon" and fault.chunk == chunk:
-                return "abandon"
-        if self._seeded_fault(chunk) == "abandon":
-            return "abandon"
         return None
 
 
@@ -440,14 +388,11 @@ class Lease:
     crash, takeover after an expired deadline), so a stale worker's late
     write is recognisably outdated — the **fencing token** of the fabric.
 
-    Two clocks coexist.  ``deadline_tick`` is a *logical* heartbeat
-    deadline on the in-process coordinator's tick clock — one tick per
-    poll sleep.  The detached (multi-machine) tier adds **wall-clock**
-    fields: ``granted_at``/``heartbeat_at``/``deadline`` are epoch
+    ``granted_at``/``heartbeat_at``/``deadline`` are wall-clock epoch
     seconds, ``ttl`` is the seconds each heartbeat renewal extends the
-    deadline by.  Wall-clock expiry is never declared before
-    ``deadline + skew_slack`` (:meth:`expired`), so modest clock skew
-    between machines cannot cause a false takeover.
+    deadline by.  Expiry is never declared before ``deadline +
+    skew_slack`` (:meth:`expired`), so modest clock skew between
+    machines cannot cause a false takeover.
     """
 
     chunk: int
@@ -455,24 +400,16 @@ class Lease:
     stop: int
     owner: str
     epoch: int
-    granted_tick: int = 0
-    deadline_tick: int = 0
     granted_at: float | None = None
     heartbeat_at: float | None = None
     deadline: float | None = None
     ttl: float | None = None
 
-    @property
-    def wall_clocked(self) -> bool:
-        """Whether this lease carries a wall-clock deadline."""
-        return self.deadline is not None
-
     def expired(self, now: float, skew_slack: float = DEFAULT_SKEW_SLACK) -> bool:
         """Wall-clock expiry with skew slack.
 
-        A lease without wall-clock fields (the in-process tier's logical
-        leases, observed after its coordinator died) is treated as
-        expired: its tick clock died with the coordinator.
+        A lease file without wall-clock fields (written by an older
+        release) is treated as expired: nothing will ever renew it.
         """
         if self.deadline is None:
             return True
@@ -499,23 +436,7 @@ class Lease:
         return directory / f"chunk-{self.chunk:06d}.json"
 
     def payload(self) -> str:
-        record = {
-            "chunk": self.chunk,
-            "start": self.start,
-            "stop": self.stop,
-            "owner": self.owner,
-            "epoch": self.epoch,
-            "granted_tick": self.granted_tick,
-            "deadline_tick": self.deadline_tick,
-        }
-        if self.wall_clocked:
-            record.update(
-                granted_at=self.granted_at,
-                heartbeat_at=self.heartbeat_at,
-                deadline=self.deadline,
-                ttl=self.ttl,
-            )
-        return json.dumps(record, sort_keys=True) + "\n"
+        return json.dumps(dataclasses.asdict(self), sort_keys=True) + "\n"
 
     def write(self, directory: Path) -> None:
         """Atomically write (or rewrite) the lease file.
@@ -549,8 +470,6 @@ class Lease:
             stop=int(record["stop"]),
             owner=str(record["owner"]),
             epoch=int(record["epoch"]),
-            granted_tick=int(record.get("granted_tick", 0)),
-            deadline_tick=int(record.get("deadline_tick", 0)),
             granted_at=None if record.get("granted_at") is None else float(record["granted_at"]),
             heartbeat_at=(
                 None if record.get("heartbeat_at") is None else float(record["heartbeat_at"])
@@ -560,12 +479,17 @@ class Lease:
         )
 
 
-def lease_directory(state: CampaignState) -> Path:
-    return state.directory / "leases"
+def _campaign_directory(campaign: CampaignState | str | Path) -> Path:
+    """The campaign directory of a :class:`CampaignState` or a path."""
+    return Path(getattr(campaign, "directory", campaign))
 
 
-def worker_directory(state: CampaignState, owner: str) -> Path:
-    return state.directory / "workers" / owner
+def lease_directory(campaign: CampaignState | str | Path) -> Path:
+    return _campaign_directory(campaign) / "leases"
+
+
+def worker_directory(campaign: CampaignState | str | Path, owner: str) -> Path:
+    return _campaign_directory(campaign) / "workers" / owner
 
 
 def read_lease(path: Path) -> Lease | None:
@@ -586,13 +510,13 @@ def read_lease(path: Path) -> Lease | None:
         return None
 
 
-def read_leases(state: CampaignState) -> list[Lease]:
+def read_leases(campaign: CampaignState | str | Path) -> list[Lease]:
     """Every readable lease file currently on disk, sorted by chunk index.
 
     Unreadable (torn) lease files are skipped with a warning — see
     :func:`read_lease`.
     """
-    directory = lease_directory(state)
+    directory = lease_directory(campaign)
     if not directory.is_dir():
         return []
     leases = (read_lease(path) for path in sorted(directory.glob("chunk-*.json")))
@@ -607,11 +531,11 @@ def read_leases(state: CampaignState) -> list[Lease]:
 # ---------------------------------------------------------------------------
 
 
-def fences_path(state: CampaignState) -> Path:
-    return state.directory / "fences.jsonl"
+def fences_path(campaign: CampaignState | str | Path) -> Path:
+    return _campaign_directory(campaign) / "fences.jsonl"
 
 
-def record_fence(state: CampaignState, chunk: int, epoch: int) -> None:
+def record_fence(campaign: CampaignState | str | Path, chunk: int, epoch: int) -> None:
     """Record that ``chunk`` may only merge from lease epoch ``epoch`` up.
 
     Written whenever a lease is re-issued (a retry, an expiry takeover):
@@ -622,16 +546,16 @@ def record_fence(state: CampaignState, chunk: int, epoch: int) -> None:
     divergent-duplicate check on merge remains the backstop).
     """
     line = json.dumps({"chunk": int(chunk), "epoch": int(epoch)}, sort_keys=True)
-    with open(fences_path(state), "a", encoding="utf-8") as handle:
+    with open(fences_path(campaign), "a", encoding="utf-8") as handle:
         handle.write(line + "\n")
         handle.flush()
         os.fsync(handle.fileno())
 
 
-def read_fences(state: CampaignState) -> dict[int, int]:
+def read_fences(campaign: CampaignState | str | Path) -> dict[int, int]:
     """Chunk → minimum acceptable lease epoch (highest fence recorded)."""
     fences: dict[int, int] = {}
-    path = fences_path(state)
+    path = fences_path(campaign)
     if not path.exists():
         return fences
     with open(path, "r", encoding="utf-8") as handle:
@@ -662,7 +586,6 @@ class JournalState:
     retries: int = 0
     expired_leases: int = 0
     degraded_chunks: list[int] = field(default_factory=list)
-    abandoned_chunks: list[int] = field(default_factory=list)
     fences: dict[int, int] = field(default_factory=dict)
     plan: dict | None = None
     completed: bool = False
@@ -731,10 +654,6 @@ class CoordinatorJournal:
                     chunk = int(record["chunk"])
                     if chunk not in state.degraded_chunks:
                         state.degraded_chunks.append(chunk)
-                elif event == "abandon":
-                    chunk = int(record["chunk"])
-                    if chunk not in state.abandoned_chunks:
-                        state.abandoned_chunks.append(chunk)
                 elif event == "fence":
                     fence = int(record["epoch"])
                     chunk = int(record["chunk"])
@@ -744,118 +663,8 @@ class CoordinatorJournal:
         return state
 
 
-# ---------------------------------------------------------------------------
-# Worker process entry point
-# ---------------------------------------------------------------------------
-
-
-def _torn_append(state: CampaignState, chunk: int, start: int, stop: int, rows) -> None:
-    """Simulate a crash mid-append: half the record's bytes, fsynced.
-
-    This is exactly the torn tail the store's recovery path handles —
-    written deliberately (and fsynced, so the test observes it
-    deterministically) before the injected kill.
-    """
-    payload = json.dumps(
-        {"chunk": chunk, "start": int(start), "stop": int(stop), "rows": list(rows)},
-        sort_keys=True,
-    ).encode("utf-8")
-    with open(state.chunks_path, "ab") as handle:
-        handle.write(payload[: max(1, len(payload) // 2)])
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def _worker_chunk_main(
-    spec: ScenarioSpec,
-    directory: str,
-    chunk: int,
-    start: int,
-    stop: int,
-    attempt: int,
-    injector: FaultInjector | None,
-    trace_ctx: dict | None = None,
-) -> None:
-    """Evaluate one leased chunk inside a worker process.
-
-    Appends the finished chunk to the worker's own store and exits 0; any
-    failure exits non-zero — the coordinator judges success solely by the
-    chunk's presence in the worker store, which is what makes
-    crash-after-append (persisted, then died) count as success.
-    """
-    try:
-        obs.install_in_worker(trace_ctx)
-        state = CampaignState(Path(directory), spec)
-        if chunk in state.completed_chunks:
-            # A previous attempt crashed after its append: the work is
-            # already durable, the protocol is idempotent — re-bless the
-            # bytes under the current epoch (they may have been fenced by
-            # the requeue that led here) and ack.
-            state.record_epoch(chunk, attempt)
-            os._exit(0)
-        fault = injector.worker_fault(chunk, attempt) if injector is not None else None
-        if fault in ("hang", "partition", "zombie"):
-            # In-process tier: an expired worker is killed outright, so a
-            # partitioned or zombie worker cannot outlive its takeover —
-            # both collapse to a hang here.  The detached work loop
-            # (repro.scenarios.detached) acts them out fully.
-            time.sleep(_HANG_SECONDS)
-            os._exit(_EXIT_FAILURE)
-        if fault == "poison":
-            raise ExperimentError(f"poisoned chunk {chunk} (injected, attempt {attempt})")
-        rows = evaluate_range(spec, start, stop)
-        if fault == "crash-pre":
-            _torn_append(state, chunk, start, stop, rows)
-            os._exit(_EXIT_CRASH_PRE)
-        state.append_chunk(chunk, start, stop, rows, epoch=attempt)
-        if fault == "crash-post":
-            os._exit(_EXIT_CRASH_POST)
-        os._exit(0)
-    except ExperimentError as error:
-        logger.warning("worker failed on chunk", worker=directory, chunk=chunk, error=error)
-        os._exit(_EXIT_FAILURE)
-
-
-# ---------------------------------------------------------------------------
-# Coordinator
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FabricProgress:
-    """Outcome of one :func:`run_fabric_campaign` call."""
-
-    state: CampaignState
-    chunk_size: int
-    total_chunks: int
-    completed_before: int
-    completed_after: int
-    retries: int = 0
-    expired_leases: int = 0
-    degraded_chunks: list[int] = field(default_factory=list)
-    abandoned_chunks: list[int] = field(default_factory=list)
-    merge: MergeReport | None = None
-
-    @property
-    def finished(self) -> bool:
-        return self.completed_after == self.total_chunks
-
-    def rows(self) -> list[dict]:
-        return self.state.rows()
-
-    def aggregate(self, quantiles: Sequence[float] = (0.05, 0.5, 0.95)) -> dict:
-        return self.state.aggregate(quantiles=quantiles)
-
-
-@dataclass
-class _ActiveLease:
-    process: multiprocessing.Process
-    lease: Lease
-    attempt: int
-
-
-def worker_store_paths(state: CampaignState) -> Iterator[Path]:
-    root = state.directory / "workers"
+def worker_store_paths(campaign: CampaignState | str | Path) -> Iterator[Path]:
+    root = _campaign_directory(campaign) / "workers"
     if not root.is_dir():
         return
     for path in sorted(root.iterdir()):
@@ -904,245 +713,6 @@ def _cleanup_if_complete(state: CampaignState, total_chunks: int) -> None:
     (state.directory / "fabric.json").unlink(missing_ok=True)
 
 
-def run_fabric_campaign(
-    spec: ScenarioSpec,
-    store: CampaignStore | str | Path,
-    workers: int = 2,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    policy: FaultPolicy | None = None,
-    faults: FaultInjector | str | None = None,
-    max_chunks: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
-) -> FabricProgress:
-    """Run (or continue) a campaign on the multi-worker fabric.
-
-    Shards the chunk plan into leases across ``workers`` worker
-    processes, each writing its own isolated store; retries, re-leases
-    and degrades per ``policy``; merges the worker stores into the
-    canonical one on completion.  The result store is byte-identical to a
-    single-writer :func:`~repro.scenarios.runner.run_campaign` of the
-    same spec — under every injected fault schedule (pinned by tests).
-
-    ``faults`` (a :class:`FaultInjector` or its CLI spec string) is the
-    chaos hook; production runs leave it ``None``.
-    """
-    if workers < 1:
-        raise ExperimentError(f"workers must be at least 1 (got {workers})")
-    if isinstance(store, (str, Path)):
-        store = CampaignStore(store)
-    if isinstance(faults, str):
-        faults = FaultInjector.from_spec(faults)
-    policy = policy or FaultPolicy()
-    state = store.campaign(spec)
-
-    chunks = plan_chunks(spec.family.count, chunk_size)
-    telemetry = obs.active()
-    if telemetry.enabled and not telemetry.trace_id:
-        # Adopted before the first merge span so every coordinator span —
-        # including the leftovers merge below — carries the campaign trace.
-        telemetry.adopt_trace(obs.new_trace_id())
-    # Absorb leftovers of an earlier (possibly crashed) fabric run first:
-    # whatever the workers persisted is durable progress.
-    merge_worker_stores(state)
-    completed = validate_plan(state, chunks)
-    pending = [index for index in range(len(chunks)) if index not in completed]
-    journal = CoordinatorJournal(state)
-    before = len(completed)
-    if max_chunks is not None:
-        if max_chunks < 0:
-            raise ExperimentError(f"max_chunks must be non-negative (got {max_chunks})")
-        pending = pending[:max_chunks]
-
-    result = FabricProgress(
-        state=state,
-        chunk_size=chunk_size,
-        total_chunks=len(chunks),
-        completed_before=before,
-        completed_after=before,
-    )
-    if not pending:
-        result.merge = MergeReport(total_chunks=len(state.completed_chunks))
-        _cleanup_if_complete(state, len(chunks))
-        return result
-
-    plan_fields = dict(
-        total_chunks=len(chunks),
-        chunk_size=chunk_size,
-        pending=len(pending),
-        workers=workers,
-        tier="process",
-    )
-    if telemetry.trace_id:
-        plan_fields["trace"] = telemetry.trace_id
-    journal.append("plan", **plan_fields)
-    # The coordinator root span is every worker process's causal parent;
-    # its trace context rides into each worker through the spawn args.
-    root_span = telemetry.span(
-        "coordinate", tier="process", total_chunks=len(chunks), pending=len(pending)
-    )
-    root_span.__enter__()
-    worker_context = obs.trace_context(telemetry)
-    leases_dir = lease_directory(state)
-    leases_dir.mkdir(parents=True, exist_ok=True)
-    context = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods() else None
-    )
-    ttl = policy.lease_ttl_ticks
-    #: (ready_tick, chunk, attempt) — chunks waiting for a slot (or for
-    #: their backoff delay to elapse).
-    queue: list[tuple[int, int, int]] = [(0, index, 0) for index in pending]
-    active: dict[str, _ActiveLease] = {}
-    free_owners = [f"w{slot}" for slot in range(workers)]
-    done_count = 0
-    tick = 0
-
-    def requeue(chunk: int, attempt: int, reason: str) -> None:
-        next_attempt = attempt + 1
-        delay_ticks = math.ceil(policy.backoff(attempt) / policy.poll_interval)
-        queue.append((tick + delay_ticks, chunk, next_attempt))
-        queue.sort()
-        result.retries += 1
-        # The re-issued lease supersedes every earlier epoch of this
-        # chunk: fence them out of the canonical store so a zombie
-        # attempt's late append can never merge.
-        record_fence(state, chunk, next_attempt)
-        journal.append(
-            "requeue", chunk=chunk, attempt=attempt, fence=next_attempt, reason=reason
-        )
-        logger.warning(
-            "chunk attempt failed; retrying",
-            chunk=chunk,
-            attempt=attempt,
-            reason=reason,
-            next_attempt=next_attempt,
-            backoff=policy.backoff(attempt),
-        )
-        telemetry = obs.active()
-        telemetry.counter("fabric.retries")
-        telemetry.counter("fabric.fences")
-
-    def degrade(chunk: int) -> None:
-        # Graceful degradation: the attempt budget is spent — evaluate in
-        # the parent (no worker process, no injected faults) and persist
-        # through the parent's own worker store so the final merge still
-        # produces the canonical byte layout.
-        start, stop = chunks[chunk]
-        rows = evaluate_range(spec, start, stop)
-        parent_store = CampaignState(worker_directory(state, _DEGRADED_OWNER), spec)
-        if chunk not in parent_store.completed_chunks:
-            parent_store.append_chunk(chunk, start, stop, rows)
-        result.degraded_chunks.append(chunk)
-        journal.append("degrade", chunk=chunk)
-        obs.active().counter("fabric.degraded_chunks")
-        (leases_dir / f"chunk-{chunk:06d}.json").unlink(missing_ok=True)
-
-    try:
-        while queue or active:
-            tick += 1
-            # Grant leases to free workers.
-            while free_owners and queue and queue[0][0] <= tick:
-                _, chunk, attempt = queue.pop(0)
-                start, stop = chunks[chunk]
-                if attempt == 0 and faults is not None and faults.coordinator_fault(chunk):
-                    # The worker "takes" the lease and vanishes: the lease
-                    # file stays behind for `scenarios heal`.
-                    Lease(chunk, start, stop, _LOST_OWNER, 0, tick, tick + ttl).write(
-                        leases_dir
-                    )
-                    result.abandoned_chunks.append(chunk)
-                    journal.append("abandon", chunk=chunk)
-                    logger.warning("chunk abandoned (injected lost worker)", chunk=chunk)
-                    continue
-                if attempt >= policy.max_attempts:
-                    degrade(chunk)
-                    done_count += 1
-                    if progress is not None:
-                        progress(before + done_count, len(chunks))
-                    continue
-                owner = free_owners.pop(0)
-                lease = Lease(chunk, start, stop, owner, attempt, tick, tick + ttl)
-                lease.write(leases_dir)
-                process = context.Process(
-                    target=_worker_chunk_main,
-                    args=(
-                        spec,
-                        str(worker_directory(state, owner)),
-                        chunk,
-                        start,
-                        stop,
-                        attempt,
-                        faults,
-                        worker_context,
-                    ),
-                    daemon=True,
-                )
-                process.start()
-                active[owner] = _ActiveLease(process, lease, attempt)
-            # Reap finished / expired workers.
-            for owner, slot in list(active.items()):
-                lease = slot.lease
-                if not slot.process.is_alive():
-                    slot.process.join()
-                    del active[owner]
-                    free_owners.append(owner)
-                    free_owners.sort()
-                    worker_state = CampaignState(worker_directory(state, owner), spec)
-                    if lease.chunk in worker_state.completed_chunks:
-                        # Success — including crash-after-append: the
-                        # chunk is durable even though the worker died.
-                        lease.path(leases_dir).unlink(missing_ok=True)
-                        done_count += 1
-                        if progress is not None:
-                            progress(before + done_count, len(chunks))
-                    else:
-                        reason = (
-                            "clean failure"
-                            if slot.process.exitcode == _EXIT_FAILURE
-                            else f"worker crash (exit {slot.process.exitcode})"
-                        )
-                        requeue(lease.chunk, slot.attempt, reason)
-                elif tick > lease.deadline_tick:
-                    # Logical heartbeat deadline expired: the worker is
-                    # hung.  Kill it and re-lease the chunk.
-                    slot.process.terminate()
-                    slot.process.join(timeout=5.0)
-                    if slot.process.is_alive():
-                        slot.process.kill()
-                        slot.process.join()
-                    del active[owner]
-                    free_owners.append(owner)
-                    free_owners.sort()
-                    result.expired_leases += 1
-                    obs.active().counter("fabric.expired_leases")
-                    journal.append(
-                        "expire", chunk=lease.chunk, owner=owner, epoch=lease.epoch
-                    )
-                    requeue(lease.chunk, slot.attempt, "lease expired (hang)")
-            if active or (queue and queue[0][0] > tick):
-                time.sleep(policy.poll_interval)
-    finally:
-        for slot in active.values():
-            slot.process.terminate()
-            slot.process.join(timeout=5.0)
-            if slot.process.is_alive():
-                slot.process.kill()
-
-    result.merge = merge_worker_stores(state)
-    result.completed_after = len(state.completed_chunks)
-    journal.append(
-        "merge",
-        added=len(result.merge.added),
-        duplicates=len(result.merge.duplicates),
-        fenced=len(result.merge.fenced),
-        total=result.merge.total_chunks,
-    )
-    if result.finished:
-        journal.append("complete", total_chunks=len(chunks))
-    _cleanup_if_complete(state, len(chunks))
-    root_span.__exit__(None, None, None)
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Healing
 # ---------------------------------------------------------------------------
@@ -1182,7 +752,7 @@ def heal_campaign(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     skew_slack: float = DEFAULT_SKEW_SLACK,
 ) -> HealReport:
-    """Recover a campaign whose fabric coordinator died mid-run.
+    """Recover a campaign whose coordinator died mid-run.
 
     Three passes, each durable on its own:
 
@@ -1193,17 +763,15 @@ def heal_campaign(
     2. **re-evaluate** every leased-but-missing chunk in the healing
        parent — the abandoned/expired leases name their exact
        ``[start, stop)`` ranges, so no chunk plan is needed to find them.
-       A **live** wall-clock lease (its ``deadline + skew_slack`` has not
-       passed — a detached worker is still computing it) is left alone
-       and reported in ``live_leases``; logical-tick leases are always
-       stale, their coordinator's tick clock died with it.  An unreadable
-       (torn) lease file is treated as expired and re-evaluated from the
-       chunk plan;
+       A **live** lease (its ``deadline + skew_slack`` has not passed —
+       a worker is still computing it) is left alone and reported in
+       ``live_leases``.  An unreadable (torn) lease file is treated as
+       expired and re-evaluated from the chunk plan;
     3. **clear** lease files whose chunks are now canonical.
 
     Chunks that were never leased (the coordinator died before sharding
     that far) are reported as ``missing_chunks``; ``scenarios resume`` or
-    a fresh fabric run completes them.
+    a fresh coordinator run completes them.
     """
     if isinstance(store, (str, Path)):
         store = CampaignStore(store)

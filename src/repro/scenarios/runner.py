@@ -98,8 +98,8 @@ def validate_plan(state: CampaignState, chunks: list[tuple[int, int]]) -> set[in
     Returns the completed chunk indices; raises when the store holds
     chunks outside the plan or with drifted ``[start, stop)`` ranges (a
     campaign resumed with a different chunk size).  Shared by the
-    single-writer runner, the in-process fabric coordinator and the
-    detached (multi-machine) tier — every writer agrees on one plan.
+    single-writer runner and the lease coordinator — every writer agrees
+    on one plan.
     """
     completed = state.completed_chunks
     unknown = completed - set(range(len(chunks)))
@@ -308,15 +308,10 @@ def _evaluate_lp_chunk(
     return rows
 
 
-#: Backward-compatible alias: the chunk evaluator predates the fabric's
-#: public worker entry points.
-_evaluate_chunk = evaluate_chunk
-
-
 def evaluate_range(spec: ScenarioSpec, start: int, stop: int) -> list[dict]:
     """Evaluate platforms ``[start, stop)`` of a spec, self-contained.
 
-    The fabric's worker entry point: a worker process holds only the spec
+    The worker entry point: a worker process holds only the spec
     and a lease's platform range — it re-samples the family's factor
     tables itself (deterministic in the spec, vectorised, cheap next to a
     chunk evaluation) and runs the shared chunk evaluator, so a chunk

@@ -34,6 +34,7 @@ from typing import Callable, TextIO
 
 from repro.obs import (
     TELEMETRY_DIR_NAME,
+    chunk_progress,
     merge_snapshots,
     read_jsonl_tolerant,
     read_metric_snapshots,
@@ -93,13 +94,6 @@ class CampaignStatus:
     @property
     def finished(self) -> bool:
         return self.total_chunks is not None and self.canonical_chunks >= self.total_chunks
-
-
-def _chunk_records(path: Path) -> tuple[set[int], int]:
-    """(chunk indices, row count) of one ``chunks.jsonl``, tolerantly."""
-    from repro.scenarios.store import chunk_progress
-
-    return chunk_progress(path)
 
 
 def _recent_rows_per_second(
@@ -252,7 +246,7 @@ def collect_status(campaign_dir: str | Path, now: float | None = None) -> Campai
     now = time.time() if now is None else now
     status = CampaignStatus(directory=campaign_dir)
 
-    canonical, rows = _chunk_records(campaign_dir / "chunks.jsonl")
+    canonical, rows, _ = chunk_progress(campaign_dir / "chunks.jsonl")
     status.canonical_chunks = len(canonical)
     status.rows = rows
 
@@ -260,7 +254,7 @@ def collect_status(campaign_dir: str | Path, now: float | None = None) -> Campai
     workers_root = campaign_dir / "workers"
     if workers_root.is_dir():
         for worker_dir in sorted(workers_root.iterdir()):
-            chunks, _ = _chunk_records(worker_dir / "chunks.jsonl")
+            chunks, _, _ = chunk_progress(worker_dir / "chunks.jsonl")
             if chunks or (worker_dir / "spec.json").is_file():
                 status.worker_chunks[worker_dir.name] = len(chunks)
             observed |= chunks

@@ -66,34 +66,9 @@ __all__ = [
     "MergeReport",
     "TornTailRecovery",
     "aggregate_rows",
-    "chunk_progress",
 ]
 
 logger = get_logger(__name__)
-
-
-def chunk_progress(chunks_path: str | Path) -> tuple[set[int], int]:
-    """``(chunk indices, row count)`` of one ``chunks.jsonl``, tolerantly.
-
-    The read-only progress probe shared by ``scenarios status`` and any
-    other observer that must not open a live store writable (a repairing
-    open would truncate a torn tail the owner is still appending behind).
-    Torn or malformed lines are skipped, a missing file yields zeros.
-    """
-    records, _ = obs.read_jsonl_tolerant(Path(chunks_path))
-    chunks: set[int] = set()
-    rows = 0
-    for record in records:
-        if not isinstance(record, dict) or "chunk" not in record:
-            continue
-        try:
-            chunks.add(int(record["chunk"]))
-        except (TypeError, ValueError):
-            continue
-        payload = record.get("rows")
-        if isinstance(payload, list):
-            rows += len(payload)
-    return chunks, rows
 
 
 @dataclass(frozen=True)

@@ -386,36 +386,69 @@ class TestFabricCommands:
                 ["scenarios", "run", str(path), "--store", str(store), "--workers", "0"]
             )
 
-    def test_chaos_run_then_heal_completes_campaign(self, capsys, tiny_space):
+    def test_chaos_run_completes_campaign(self, capsys, tiny_space, tmp_path):
+        from repro.scenarios.spec import spec_hash
+
         spec, path, store = tiny_space
+        single = tmp_path / "single"
+        assert main(
+            ["scenarios", "run", str(path), "--store", str(single), "--chunk-size", "2"]
+        ) == 0
+        capsys.readouterr()
         code = main(
             [
                 "scenarios", "run", str(path),
                 "--store", str(store), "--chunk-size", "2", "--workers", "2",
-                "--faults", "crash-pre@0,abandon@2", "--chunk-timeout", "5",
+                "--faults", "crash-pre@0,poison@1", "--chunk-timeout", "5",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "chunks: 2/3 complete" in out
+        assert "chunks: 3/3 complete" in out
         assert "fabric: " in out  # the crash-pre retry is reported
-        assert "abandoned lease(s) on chunk(s) [2]" in out
-        assert "scenarios heal" in out
+        assert "1 chunk(s) degraded" in out  # the poisoned chunk
+        assert "campaign incomplete" not in out
+        reference = (single / spec_hash(spec) / "chunks.jsonl").read_bytes()
+        assert (store / spec_hash(spec) / "chunks.jsonl").read_bytes() == reference
+
+    def test_budgeted_run_then_heal_completes_campaign(self, capsys, tiny_space):
+        import time
+
+        spec, path, store = tiny_space
+        # One worker, two claims: chunk 0 done, chunk 1 claimed and walked
+        # away from — its lease is left behind when the budget runs out.
+        code = main(
+            [
+                "scenarios", "run", str(path),
+                "--store", str(store), "--chunk-size", "2", "--workers", "1",
+                "--max-chunks", "2", "--faults", "abandon@1", "--chunk-timeout", "0.2",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "chunks: 1/3 complete" in out
+        assert "campaign incomplete" in out
 
         # show surfaces the outstanding lease before healing.
         assert main(["scenarios", "show", str(path), "--store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "outstanding leases: 2" in out
+        assert "outstanding leases: 1 (owner w0, epoch 0)" in out
         assert "recover with 'scenarios heal'" in out
 
+        time.sleep(0.3)  # let the abandoned 0.2 s lease run out
         code = main(
-            ["scenarios", "heal", str(path), "--store", str(store), "--chunk-size", "2"]
+            ["scenarios", "heal", str(path), "--store", str(store), "--chunk-size", "2",
+             "--skew-slack", "0"]
         )
         assert code == 0
         out = capsys.readouterr().out
         assert "healed 1 abandoned chunk(s)" in out
-        assert "still incomplete" not in out
+        assert "1 chunk(s) still missing" in out
 
+        assert main(
+            ["scenarios", "resume", str(path), "--store", str(store), "--chunk-size", "2"]
+        ) == 0
+        capsys.readouterr()
         assert main(["scenarios", "show", str(path), "--store", str(store)]) == 0
         out = capsys.readouterr().out
         assert "persisted scenarios: 12 of 12" in out

@@ -32,23 +32,10 @@ def test_lower_layers_do_not_import_scenarios():
     subprocess.run([sys.executable, "-c", probe], check=True)
 
 
-def test_sampler_facade_re_exports_every_primitive():
-    """The historical ``repro.scenarios.sampler`` names keep working and
-    are the same objects as their new homes."""
-    from repro.core import order_rules
-    from repro.scenarios import sampler
-    from repro.workloads import sampling
-
-    for name in ("ORDER_RULES", "TWO_PORT_ORDER_RULES", "TWO_PORT_REVERSED_RETURN",
-                 "lifo_chain_values", "sorted_indices", "worker_names"):
-        assert getattr(sampler, name) is getattr(order_rules, name)
-    for name in ("FactorTable", "sample_factors", "base_costs", "cost_table",
-                 "family_cost_tables", "Distribution", "PlatformFamily",
-                 "UNIT", "PAPER_UNIFORM", "Workload", "MATRIX_WORKLOAD",
-                 "workload_base_costs"):
-        assert getattr(sampler, name) is getattr(sampling, name)
-
+def test_scenario_spec_shares_the_sampling_types():
+    """The spec layer embeds the workload layer's family description."""
     from repro.scenarios import spec as scenario_spec
+    from repro.workloads import sampling
 
     assert scenario_spec.Distribution is sampling.Distribution
     assert scenario_spec.PlatformFamily is sampling.PlatformFamily

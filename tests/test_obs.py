@@ -25,6 +25,7 @@ from repro.obs import (
     Telemetry,
     activate,
     active,
+    chunk_progress,
     configure_logging,
     enabled,
     get_logger,
@@ -385,6 +386,23 @@ class TestSidecarRotation:
                 pass
         telemetry.flush()
         assert len(list((tmp_path / "telemetry").glob("spans-*.jsonl"))) == 1
+
+
+def test_chunk_progress_reads_a_store_tolerantly(tmp_path):
+    """The one read-only progress probe behind status and report."""
+    import json
+
+    path = tmp_path / "chunks.jsonl"
+    assert chunk_progress(path) == (set(), 0, False)
+    path.write_text(
+        json.dumps({"chunk": 0, "start": 0, "stop": 2, "rows": [{}, {}]}) + "\n"
+        + json.dumps({"chunk": 1, "start": 2, "stop": 3, "rows": [{}]}) + "\n",
+        encoding="utf-8",
+    )
+    assert chunk_progress(path) == ({0, 1}, 3, False)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write('{"chunk": 2, "start": 3, "ro')
+    assert chunk_progress(path) == ({0, 1}, 3, True)
 
 
 def test_obs_is_stdlib_only():

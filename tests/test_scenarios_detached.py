@@ -204,6 +204,21 @@ class TestHeartbeat:
         assert renewed.deadline > lease.deadline
         assert not beat.fenced.is_set()
 
+    def test_heartbeat_stops_renewing_after_one_ttl(self, tmp_path):
+        """The per-attempt budget: a hung attempt's lease runs out."""
+        now = time.time()
+        lease = Lease(chunk=0, start=0, stop=2, owner="w0", epoch=0,
+                      granted_at=now, heartbeat_at=now, deadline=now + 0.5, ttl=0.5)
+        lease.write(tmp_path)
+        beat = _Heartbeat(tmp_path, lease, interval=0.05, now=time.time).start()
+        time.sleep(1.2)
+        beat.stop()
+        last = Lease.read(tmp_path / "chunk-000000.json")
+        assert last.deadline > lease.deadline  # renewed at first ...
+        assert last.deadline < now + 2 * 0.5  # ... but not past one TTL
+        assert last.expired(time.time(), skew_slack=0.0)
+        assert not beat.fenced.is_set()
+
     def test_heartbeat_detects_takeover_and_fences(self, tmp_path):
         now = time.time()
         lease = Lease(chunk=0, start=0, stop=2, owner="slow", epoch=0,

@@ -1,28 +1,36 @@
-"""Tests for the fault-tolerant multi-worker campaign fabric.
+"""Tests for the lease protocol and the coordinator's local workers.
 
 The load-bearing guarantee: for every deterministic fault-injection
 schedule in the matrix — crash-before-fsync (torn write), crash-after-
 append, hang + lease expiry, poisoned chunk, abandoned lease — a
-multi-worker run (followed by heal + merge where the schedule leaves
-leftovers) produces a ``chunks.jsonl`` **byte-identical** to an
-uninterrupted single-writer campaign, and bit-identical aggregates.
+coordinator run with local workers (followed by heal + merge where the
+schedule leaves leftovers) produces a ``chunks.jsonl`` **byte-identical**
+to an uninterrupted single-writer campaign, and bit-identical aggregates.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import os
+import time
+
 import pytest
 
 from repro.exceptions import ExperimentError
+from repro.scenarios import detached
+from repro.scenarios.detached import run_detached_campaign
 from repro.scenarios.fabric import (
     ChunkFault,
+    CoordinatorJournal,
     FaultInjector,
     FaultPolicy,
     Lease,
     heal_campaign,
     lease_directory,
     merge_worker_stores,
+    read_lease,
     read_leases,
-    run_fabric_campaign,
     worker_directory,
 )
 from repro.scenarios.runner import evaluate_range, run_campaign
@@ -35,16 +43,26 @@ def small_spec(name="fabric-small", count=6, sizes=(40, 120), noise=None):
 
 
 def fast_policy(**overrides):
+    """Short leases and skew slack, so expiries cost ~2 s, not ~62 s."""
     defaults = dict(
         max_attempts=3,
         backoff_base=0.01,
         backoff_factor=2.0,
         backoff_cap=0.05,
-        timeout=10.0,
-        poll_interval=0.01,
+        timeout=1.5,
+        poll_interval=0.02,
+        skew_slack=0.3,
     )
     defaults.update(overrides)
     return FaultPolicy(**defaults)
+
+
+def run_local(spec, store, workers=2, policy=None, **kwargs):
+    """A coordinator run with local workers, bounded so a bug cannot hang."""
+    return run_detached_campaign(
+        spec, store, chunk_size=kwargs.pop("chunk_size", 2), workers=workers,
+        policy=policy or fast_policy(), wait_timeout=120.0, **kwargs,
+    )
 
 
 def store_bytes(root, spec):
@@ -103,8 +121,9 @@ class TestFaultPolicy:
         with pytest.raises(ExperimentError, match="timeout"):
             FaultPolicy(timeout=0.0)
 
-    def test_lease_ttl_ticks(self):
-        assert FaultPolicy(timeout=1.0, poll_interval=0.1).lease_ttl_ticks == 10
+    def test_heartbeat_interval_is_a_quarter_ttl(self):
+        assert FaultPolicy(timeout=1.0).heartbeat_interval == 0.25
+        assert FaultPolicy(timeout=0.1).heartbeat_interval == 0.05
 
 
 class TestFaultInjector:
@@ -118,10 +137,10 @@ class TestFaultInjector:
         assert injector.worker_fault(3, 0) == "poison"
         assert injector.worker_fault(3, 5) == "poison"
 
-    def test_from_spec_abandon_is_coordinator_side(self):
+    def test_from_spec_abandon_is_a_worker_fault(self):
         injector = FaultInjector.from_spec("abandon@4")
-        assert injector.coordinator_fault(4) == "abandon"
-        assert injector.worker_fault(4, 0) is None
+        assert injector.worker_fault(4, 0) == "abandon"
+        assert injector.worker_fault(4, 1) is None  # the re-issued lease runs
 
     def test_from_spec_rejects_unknown_kind_and_bad_target(self):
         with pytest.raises(ExperimentError, match="unknown fault kind"):
@@ -152,21 +171,34 @@ class TestFaultInjector:
 class TestLease:
     def test_round_trip(self, tmp_path):
         lease = Lease(chunk=3, start=6, stop=8, owner="w1", epoch=2,
-                      granted_tick=10, deadline_tick=110)
+                      granted_at=10.0, heartbeat_at=12.0, deadline=22.0, ttl=10.0)
         lease.write(tmp_path)
         assert Lease.read(lease.path(tmp_path)) == lease
+
+    def test_lease_file_without_wall_clock_fields_reads_as_expired(self, tmp_path):
+        """Lease files of older releases carried logical-tick deadlines
+        only; nothing renews them any more, so they count as expired."""
+        path = tmp_path / "chunk-000001.json"
+        path.write_text(json.dumps({
+            "chunk": 1, "start": 2, "stop": 4, "owner": "w0", "epoch": 0,
+            "granted_tick": 3, "deadline_tick": 3000,
+        }), encoding="utf-8")
+        lease = read_lease(path)
+        assert (lease.chunk, lease.owner, lease.deadline) == (1, "w0", None)
+        assert lease.expired(now=0.0)
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    spec = small_spec()
+    root = tmp_path_factory.mktemp("reference")
+    progress = run_campaign(spec, root, chunk_size=2)
+    assert progress.finished
+    return spec, store_bytes(root, spec), progress.aggregate()
 
 
 class TestFabricByteIdentity:
     """Every injected schedule converges to the single-writer bytes."""
-
-    @pytest.fixture(scope="class")
-    def reference(self, tmp_path_factory):
-        spec = small_spec()
-        root = tmp_path_factory.mktemp("reference")
-        progress = run_campaign(spec, root, chunk_size=2)
-        assert progress.finished
-        return spec, store_bytes(root, spec), progress.aggregate()
 
     @pytest.mark.parametrize(
         "faults",
@@ -181,9 +213,7 @@ class TestFabricByteIdentity:
     )
     def test_fabric_matches_single_writer(self, tmp_path, reference, faults):
         spec, expected, aggregates = reference
-        progress = run_fabric_campaign(
-            spec, tmp_path, workers=2, chunk_size=2, policy=fast_policy(), faults=faults
-        )
+        progress = run_local(spec, tmp_path, faults=faults)
         assert progress.finished
         assert store_bytes(tmp_path, spec) == expected
         assert progress.aggregate() == aggregates
@@ -193,36 +223,29 @@ class TestFabricByteIdentity:
 
     def test_hang_expires_lease_and_converges(self, tmp_path, reference):
         spec, expected, _ = reference
-        progress = run_fabric_campaign(
-            spec,
-            tmp_path,
-            workers=2,
-            chunk_size=2,
-            policy=fast_policy(timeout=0.3),
-            faults="hang@0",
-        )
+        progress = run_local(spec, tmp_path, policy=fast_policy(timeout=0.6), faults="hang@0")
         assert progress.finished
-        assert progress.expired_leases >= 1
-        assert progress.retries >= 1
+        assert store_bytes(tmp_path, spec) == expected
+
+    def test_abandoned_lease_is_reissued(self, tmp_path, reference):
+        """abandon: the worker claims and walks away; the lease runs out
+        and the chunk is re-issued under a bumped epoch."""
+        spec, expected, _ = reference
+        progress = run_local(spec, tmp_path, policy=fast_policy(timeout=0.6), faults="abandon@1")
+        assert progress.finished
         assert store_bytes(tmp_path, spec) == expected
 
     def test_poisoned_chunk_degrades_to_parent(self, tmp_path, reference):
         spec, expected, _ = reference
-        progress = run_fabric_campaign(
-            spec, tmp_path, workers=2, chunk_size=2, policy=fast_policy(), faults="poison@1"
-        )
+        progress = run_local(spec, tmp_path, faults="poison@1")
         assert progress.finished
         assert progress.degraded_chunks == [1]
-        # Every worker attempt was spent before degrading.
-        assert progress.retries == fast_policy().max_attempts
         assert store_bytes(tmp_path, spec) == expected
 
     def test_seeded_schedule_converges(self, tmp_path, reference):
         spec, expected, _ = reference
         faults = FaultInjector.seeded(3, 0.7, kinds=("crash-pre", "crash-post", "poison"))
-        progress = run_fabric_campaign(
-            spec, tmp_path, workers=3, chunk_size=2, policy=fast_policy(), faults=faults
-        )
+        progress = run_local(spec, tmp_path, workers=3, faults=faults)
         assert progress.finished
         assert store_bytes(tmp_path, spec) == expected
 
@@ -231,50 +254,122 @@ class TestFabricByteIdentity:
         spec = small_spec(name="fabric-noise", noise="default")
         single = run_campaign(spec, tmp_path / "single", chunk_size=2)
         assert single.finished
-        progress = run_fabric_campaign(
-            spec,
-            tmp_path / "fabric",
-            workers=2,
-            chunk_size=2,
-            policy=fast_policy(),
-            faults="crash-pre@1",
-        )
+        progress = run_local(spec, tmp_path / "fabric", faults="crash-pre@1")
         assert progress.finished
         assert store_bytes(tmp_path / "fabric", spec) == store_bytes(tmp_path / "single", spec)
 
 
-class TestAbandonedLeasesAndHeal:
-    def test_abandoned_lease_left_for_heal(self, tmp_path):
-        spec = small_spec()
-        progress = run_fabric_campaign(
-            spec, tmp_path, workers=2, chunk_size=2, policy=fast_policy(), faults="abandon@1"
-        )
-        assert not progress.finished
-        assert progress.abandoned_chunks == [1]
-        leases = read_leases(progress.state)
-        assert [lease.chunk for lease in leases] == [1]
-        assert leases[0].owner == "lost"
-        assert leases[0].stop - leases[0].start == 2
+class TestLocalWorkerSupervision:
+    """The coordinator's own workers: dead ones surrender their leases at
+    once, hung ones stop renewing, budgets bound the work."""
 
+    def test_hung_attempt_stops_renewing_and_is_taken_over(
+        self, tmp_path, monkeypatch, reference
+    ):
+        spec, expected, _ = reference
+        ttl = 1.0
+        seen_path = tmp_path / "seen.jsonl"
+        leases_dir = tmp_path / "run" / spec_hash(spec) / "leases"
+        real_evaluate = detached.evaluate_range
+
+        def evaluate_or_hang(spec_, start, stop):
+            # The first attempt anywhere hangs for 3 TTLs (no injected
+            # fault: its heartbeat thread is alive), logging its lease.
+            try:
+                os.close(os.open(tmp_path / "hung", os.O_CREAT | os.O_EXCL))
+            except FileExistsError:
+                return real_evaluate(spec_, start, stop)
+            path = leases_dir / f"chunk-{start // 2:06d}.json"
+            until = time.monotonic() + 3 * ttl
+            with open(seen_path, "a", encoding="utf-8") as handle:
+                while time.monotonic() < until:
+                    lease = read_lease(path) if path.exists() else None
+                    record = dataclasses.asdict(lease) if lease is not None else None
+                    handle.write(json.dumps(record) + "\n")
+                    handle.flush()
+                    time.sleep(0.05)
+            return real_evaluate(spec_, start, stop)
+
+        monkeypatch.setattr(detached, "evaluate_range", evaluate_or_hang)
+        progress = run_local(
+            spec, tmp_path / "run", policy=fast_policy(timeout=ttl, skew_slack=0.1)
+        )
+        assert progress.finished
+        assert store_bytes(tmp_path / "run", spec) == expected
+        seen = [json.loads(line) for line in seen_path.read_text().splitlines()]
+        first = seen[0]
+        assert first["epoch"] == 0
+        hung = [
+            lease for lease in seen
+            if lease is not None and (lease["owner"], lease["epoch"]) == (first["owner"], 0)
+        ]
+        # Renewals stopped after one TTL: the deadline never got past
+        # granted_at + 2 * TTL (the last renewal + one TTL) ...
+        assert max(lease["deadline"] for lease in hung) < first["granted_at"] + 2 * ttl
+        # ... and while the attempt was still hung, its lease was taken
+        # over (re-issued under a bumped epoch, then released as done).
+        assert len(hung) < len(seen)
+
+    def test_crashed_worker_lease_is_surrendered_not_waited_out(self, tmp_path, reference):
+        spec, expected, _ = reference
+        began = time.monotonic()
+        progress = run_local(spec, tmp_path, policy=FaultPolicy(timeout=30), faults="crash-pre@0")
+        elapsed = time.monotonic() - began
+        assert progress.finished
+        assert elapsed < 10.0  # a 30 s lease (+2 s slack) was not waited out
+        assert progress.expired_leases >= 1 and progress.retries >= 1
+        assert store_bytes(tmp_path, spec) == expected
+
+    @pytest.mark.parametrize("faults", ["crash-pre@0", "crash-post@0"])
+    def test_lone_dead_worker_is_restarted_under_its_owner(self, tmp_path, reference, faults):
+        """With one worker, only its restart can finish the campaign; a
+        crash-pre restart repairs the torn tail its prior life left."""
+        spec, expected, _ = reference
+        progress = run_local(spec, tmp_path, workers=1, faults=faults)
+        assert progress.finished
+        assert store_bytes(tmp_path, spec) == expected
+
+    def test_zero_budget_starts_no_worker(self, tmp_path):
+        progress = run_local(small_spec(), tmp_path, max_chunks=0)
+        assert progress.completed_after == progress.completed_before == 0
+        assert not (progress.state.directory / "workers").exists()
+
+    def test_max_chunks_budget_persists_exactly_that_many(self, tmp_path, reference):
+        """max_chunks-bounded local workers + single-writer resume ==
+        uninterrupted bytes (the two writers interleave cleanly)."""
+        spec, expected, _ = reference
+        partial = run_local(spec, tmp_path, max_chunks=2)
+        assert not partial.finished
+        assert partial.completed_after - partial.completed_before == 2
+        resumed = run_campaign(spec, tmp_path, chunk_size=2)
+        assert resumed.finished
+        assert store_bytes(tmp_path, spec) == expected
+
+
+class TestAbandonedLeasesAndHeal:
     def test_heal_recovers_abandoned_lease_byte_identically(self, tmp_path):
         spec = small_spec()
         reference = run_campaign(spec, tmp_path / "ref", chunk_size=2)
-        run_fabric_campaign(
-            spec,
-            tmp_path / "chaos",
-            workers=2,
-            chunk_size=2,
-            policy=fast_policy(),
-            faults="abandon@1,crash-post@2",
+        # One budgeted worker: chunk 0 done, chunk 1 claimed and walked
+        # away from, chunk 2 never leased.  The coordinator returns when
+        # the worker's budget is spent, leaving the abandoned lease.
+        partial = run_local(
+            spec, tmp_path / "chaos", workers=1, max_chunks=2,
+            policy=fast_policy(timeout=60.0), faults="abandon@1",
+        )
+        assert partial.completed_after == 1
+        (lease,) = read_leases(partial.state)
+        assert (lease.chunk, lease.owner, lease.stop - lease.start) == (1, "w0", 2)
+        # Once that lease has run out, heal re-evaluates its chunk.
+        dataclasses.replace(lease, deadline=time.time() - 60.0).write(
+            lease_directory(partial.state)
         )
         report = heal_campaign(spec, tmp_path / "chaos", chunk_size=2)
-        assert report.complete
         assert report.healed_chunks == [1]
+        assert report.missing_chunks == 1
+        resumed = run_campaign(spec, tmp_path / "chaos", chunk_size=2)
         assert store_bytes(tmp_path / "chaos", spec) == store_bytes(tmp_path / "ref", spec)
-        assert report.state.rows() == reference.rows()
-        # Healing cleans up: no leases, no worker stores.
-        assert not lease_directory(report.state).exists()
-        assert not (report.state.directory / "workers").exists()
+        assert resumed.rows() == reference.rows()
 
     def test_heal_on_clean_store_is_a_no_op(self, tmp_path):
         spec = small_spec()
@@ -299,8 +394,7 @@ class TestAbandonedLeasesAndHeal:
         worker = CampaignState(worker_directory(state, "w0"), spec)
         worker.append_chunk(1, 2, 4, evaluate_range(spec, 2, 4))
         lease_directory(state).mkdir(parents=True)
-        Lease(chunk=2, start=4, stop=6, owner="w1", epoch=0,
-              granted_tick=1, deadline_tick=2).write(lease_directory(state))
+        Lease(chunk=2, start=4, stop=6, owner="w1", epoch=0).write(lease_directory(state))
 
         report = heal_campaign(spec, tmp_path / "dead", chunk_size=2)
         assert report.complete
@@ -308,39 +402,25 @@ class TestAbandonedLeasesAndHeal:
         assert store_bytes(tmp_path / "dead", spec) == store_bytes(tmp_path / "ref", spec)
         assert report.state.rows() == reference.rows()
 
-    def test_fabric_resumes_after_partial_run(self, tmp_path):
-        """max_chunks-bounded fabric run + single-writer resume ==
-        uninterrupted bytes (the two writers interleave cleanly)."""
-        spec = small_spec()
-        run_campaign(spec, tmp_path / "ref", chunk_size=2)
-        partial = run_fabric_campaign(
-            spec, tmp_path / "mixed", workers=2, chunk_size=2,
-            policy=fast_policy(), max_chunks=2,
-        )
-        assert not partial.finished and partial.completed_after == 2
-        resumed = run_campaign(spec, tmp_path / "mixed", chunk_size=2)
-        assert resumed.finished
-        assert store_bytes(tmp_path / "mixed", spec) == store_bytes(tmp_path / "ref", spec)
-
-    def test_fabric_continues_single_writer_campaign(self, tmp_path):
+    def test_local_workers_continue_single_writer_campaign(self, tmp_path):
         spec = small_spec()
         run_campaign(spec, tmp_path / "ref", chunk_size=2)
         run_campaign(spec, tmp_path / "mixed", chunk_size=2, max_chunks=1)
-        progress = run_fabric_campaign(
-            spec, tmp_path / "mixed", workers=2, chunk_size=2, policy=fast_policy()
-        )
+        progress = run_local(spec, tmp_path / "mixed")
         assert progress.finished
         assert store_bytes(tmp_path / "mixed", spec) == store_bytes(tmp_path / "ref", spec)
 
-    def test_fabric_rejects_chunk_size_drift(self, tmp_path):
+    def test_coordinator_rejects_chunk_size_drift(self, tmp_path):
         spec = small_spec()
         run_campaign(spec, tmp_path, chunk_size=2, max_chunks=1)
         with pytest.raises(ExperimentError, match="chunk size"):
-            run_fabric_campaign(spec, tmp_path, workers=2, chunk_size=3, policy=fast_policy())
+            run_local(spec, tmp_path, chunk_size=3)
 
-    def test_fabric_validates_worker_count(self, tmp_path):
+    def test_coordinator_validates_worker_count_and_budget(self, tmp_path):
         with pytest.raises(ExperimentError, match="workers"):
-            run_fabric_campaign(small_spec(), tmp_path, workers=0)
+            run_detached_campaign(small_spec(), tmp_path, workers=-1)
+        with pytest.raises(ExperimentError, match="max_chunks"):
+            run_detached_campaign(small_spec(), tmp_path, max_chunks=2)
 
 
 class TestMergeWorkerStores:
@@ -444,7 +524,7 @@ class TestTornLeaseFiles:
         leases_dir = lease_directory(state)
         leases_dir.mkdir(parents=True)
         good = Lease(chunk=1, start=2, stop=4, owner="w0", epoch=0,
-                     granted_tick=1, deadline_tick=100)
+                     granted_at=1.0, heartbeat_at=1.0, deadline=100.0, ttl=99.0)
         good.write(leases_dir)
         (leases_dir / "chunk-000000.json").write_text('{"chunk": 0, "sta', encoding="utf-8")
         with caplog.at_level(logging.WARNING, logger="repro.scenarios.fabric"):
@@ -529,7 +609,6 @@ class TestWallClockLease:
                       granted_at=100.0, heartbeat_at=105.0, deadline=115.0, ttl=10.0)
         lease.write(tmp_path)
         assert Lease.read(lease.path(tmp_path)) == lease
-        assert lease.wall_clocked
 
     def test_expiry_honours_skew_slack(self):
         lease = Lease(chunk=0, start=0, stop=2, owner="w", epoch=0,
@@ -537,13 +616,6 @@ class TestWallClockLease:
         assert not lease.expired(now=10.5, skew_slack=2.0)
         assert not lease.expired(now=12.0, skew_slack=2.0)
         assert lease.expired(now=12.1, skew_slack=2.0)
-
-    def test_logical_lease_counts_as_expired_on_the_wall_clock(self):
-        # Its tick clock died with the in-process coordinator.
-        lease = Lease(chunk=0, start=0, stop=2, owner="w", epoch=0,
-                      granted_tick=5, deadline_tick=500)
-        assert not lease.wall_clocked
-        assert lease.expired(now=0.0)
 
     def test_renewed_extends_deadline(self):
         lease = Lease(chunk=0, start=0, stop=2, owner="w", epoch=0,
@@ -564,7 +636,6 @@ class TestWallClockLease:
 
 class TestCoordinatorJournal:
     def test_replay_reconstructs_counters(self, tmp_path):
-        from repro.scenarios.fabric import CoordinatorJournal
         from repro.scenarios.store import CampaignStore
 
         spec = small_spec()
@@ -587,7 +658,6 @@ class TestCoordinatorJournal:
     def test_replay_tolerates_torn_tail_line(self, tmp_path, caplog):
         import logging
 
-        from repro.scenarios.fabric import CoordinatorJournal
         from repro.scenarios.store import CampaignStore
 
         state = CampaignStore(tmp_path).campaign(small_spec())
@@ -600,20 +670,15 @@ class TestCoordinatorJournal:
         assert replayed.plan is not None
         assert replayed.retries == 0
 
-    def test_fabric_run_journals_its_decisions(self, tmp_path):
-        from repro.scenarios.fabric import CoordinatorJournal
-
+    def test_local_worker_run_journals_its_decisions(self, tmp_path):
         spec = small_spec()
-        progress = run_fabric_campaign(
-            spec, tmp_path, workers=2, chunk_size=2,
-            policy=fast_policy(), faults="poison@2",
-        )
+        progress = run_local(spec, tmp_path, faults="poison@2")
         assert progress.finished
         journal = CoordinatorJournal(progress.state)
         assert journal.exists()  # kept even after cleanup: the flight record
         replayed = journal.replay()
         assert replayed.retries == progress.retries
-        assert replayed.degraded_chunks == progress.degraded_chunks
+        assert replayed.degraded_chunks == progress.degraded_chunks == [2]
         assert replayed.completed
 
 

@@ -27,7 +27,8 @@ from repro.obs import (
     report_to_json,
     write_chrome_trace,
 )
-from repro.scenarios.fabric import Lease, run_fabric_campaign
+from repro.scenarios.detached import run_detached_campaign
+from repro.scenarios.fabric import Lease
 from repro.scenarios.runner import run_campaign
 from repro.scenarios.spec import named_space, spec_hash
 from repro.scenarios.store import CampaignStore
@@ -80,7 +81,7 @@ class TestStitchedTrace:
         campaign_dir = store / spec_hash(spec)
         telemetry = Telemetry(campaign_dir / "telemetry", owner="coordinator", mode="on")
         with activate(telemetry):
-            progress = run_fabric_campaign(
+            progress = run_detached_campaign(
                 spec, store, chunk_size=2, workers=2, faults="crash-pre@0"
             )
         assert progress.finished
@@ -150,7 +151,7 @@ class TestTornAndPartialInputs:
         campaign_dir = store / spec_hash(spec)
         telemetry = Telemetry(campaign_dir / "telemetry", owner="coordinator", mode="on")
         with activate(telemetry):
-            run_fabric_campaign(spec, store, chunk_size=2, workers=2, max_chunks=1)
+            run_detached_campaign(spec, store, chunk_size=2, workers=2, max_chunks=1)
         (campaign_dir / "coordinator.jsonl").unlink()
         assert (campaign_dir / "workers").is_dir()  # fabric leftovers remain
         report = analyze_campaign(campaign_dir)
@@ -221,7 +222,7 @@ class TestChromeExport:
         campaign_dir = store / spec_hash(spec)
         telemetry = Telemetry(campaign_dir / "telemetry", owner="coordinator", mode="on")
         with activate(telemetry):
-            run_fabric_campaign(spec, store, chunk_size=2, workers=2, faults="crash-pre@0")
+            run_detached_campaign(spec, store, chunk_size=2, workers=2, faults="crash-pre@0")
         events = chrome_trace_events(campaign_dir)
         instants = [event for event in events if event["ph"] == "i"]
         assert any(event["name"] == "journal:requeue" for event in instants)
