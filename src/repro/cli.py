@@ -44,7 +44,7 @@ directory)::
 campaign (Ctrl-C, crash) picks up where it left off — ``resume`` is
 ``run`` that insists prior results exist.  ``--workers N`` and
 ``--detached-workers`` run the same lease coordinator: wall-clock leases
-with heartbeats and skew slack, epoch fencing against zombie writers,
+with skew slack, epoch fencing against zombie writers,
 per-worker stores merged canonically, and an append-only
 ``coordinator.jsonl`` journal a restarted coordinator replays.
 ``--workers N`` also starts N local ``scenarios work`` loops and restarts
@@ -225,17 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
             default=None,
             metavar="SECONDS",
             help="per-attempt budget of one chunk, in seconds (default: 60): "
-            "the lease TTL each heartbeat renews, until the attempt has held "
-            "its lease this long; the lease then expires (after the skew "
-            "slack) and the chunk is re-issued under a bumped epoch",
+            "the lease TTL, fixed when the chunk is claimed; once it has run "
+            "out (plus the skew slack) the chunk is re-issued under a bumped "
+            "epoch",
         )
         sub.add_argument(
             "--detached-workers",
             action="store_true",
             help="coordinate external 'scenarios work' processes over the "
             "shared store directory instead of spawning workers: wall-clock "
-            "leases with heartbeats, epoch fencing, and a crash-recoverable "
-            "coordinator journal",
+            "leases, epoch fencing, and a crash-recoverable coordinator "
+            "journal",
         )
         sub.add_argument(
             "--skew-slack",
@@ -286,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     work = scenarios_sub.add_parser(
         "work",
         help="run a detached fabric worker over a shared campaign directory: "
-        "claim chunks, heartbeat leases, append to an isolated per-worker "
-        "store until the plan is complete (SIGTERM drains gracefully)",
+        "claim chunk leases, append to an isolated per-worker store until "
+        "the plan is complete (SIGTERM drains gracefully)",
     )
     work.add_argument(
         "store_dir",

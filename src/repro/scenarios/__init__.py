@@ -27,8 +27,8 @@ batched scenario kernel and the parallel sweep engine:
   degradation, epoch fencing, the coordinator journal and healing;
 * :mod:`repro.scenarios.detached` — the one coordinator and its
   ``scenarios work`` workers, local (``run --workers N``) or on any
-  machines sharing the directory: wall-clock leases with heartbeats and
-  skew slack, supervised local workers, journaled decisions.
+  machines sharing the directory: wall-clock leases with skew slack,
+  supervised local workers, journaled decisions.
 
 The CLI front end is ``repro-experiments scenarios
 list/run/resume/show/export/work/heal/merge``.

@@ -14,18 +14,18 @@ pieces live in :mod:`repro.scenarios.fabric`):
 * each worker (:func:`work_loop`) runs a long-lived
   claim → evaluate → append → release loop: claims are **atomic file
   creations** (``os.link`` of a private temp lease — exactly one claimant
-  wins a race), appends go to the worker's own isolated store, heartbeats
-  rewrite the lease atomically every ``ttl / 4`` seconds until the
-  attempt has held it for one TTL (its per-attempt budget);
+  wins a race), appends go to the worker's own isolated store; a lease's
+  deadline is fixed at claim time, one TTL (the per-attempt budget)
+  after the grant, and a watcher thread re-reads the lease every
+  ``ttl / 4`` seconds to notice a takeover;
 * expiry is **wall-clock with skew slack**: nobody declares a lease dead
   before ``deadline + skew_slack``, so modest clock skew between machines
   never causes a false takeover;
 * every takeover bumps the chunk's lease **epoch** and records a fence
   (:func:`~repro.scenarios.fabric.record_fence`): a partitioned, hung or
   zombie worker that appends under a superseded epoch is fenced out of
-  the canonical store at merge time, and a worker that notices the
-  takeover at heartbeat-renewal time abandons its chunk *before* append
-  time;
+  the canonical store at merge time, and a worker whose watcher saw the
+  takeover abandons its chunk *before* append time;
 * the coordinator journals every decision to ``coordinator.jsonl``
   (:class:`~repro.scenarios.fabric.CoordinatorJournal`), so a restarted
   coordinator — or ``scenarios heal`` — reconstructs campaign state
@@ -353,32 +353,27 @@ class WorkerReport:
         )
 
 
-class _Heartbeat:
-    """Background lease renewal for one in-flight chunk.
+class _LeaseWatch:
+    """Background takeover detection for one in-flight chunk.
 
-    Every beat atomically rewrites the lease with a fresh
-    ``heartbeat_at``/``deadline`` — but first re-reads it: a lease that no
-    longer names this owner/epoch was **taken over** (we were partitioned
-    or too slow), and the worker must abandon the chunk before append
-    time.  ``fenced`` latches that observation.
-
-    Renewal stops once the attempt has held its lease for one TTL (the
-    per-attempt timeout): a genuinely hung attempt's lease then runs out,
-    is fenced and re-issued, and its late append is fenced out at merge.
+    Re-reads the lease every ``interval`` seconds: a lease that no longer
+    names this owner/epoch was **taken over** (the attempt outran its
+    budget, or we were partitioned), and the worker must abandon the
+    chunk before append time.  ``fenced`` latches that observation.  The
+    lease itself is never rewritten — its deadline stays one TTL past
+    the grant, so a genuinely hung attempt's lease runs out, is fenced
+    and re-issued, and its late append is fenced out at merge.
     """
 
-    def __init__(
-        self, leases_dir: Path, lease: Lease, interval: float, now: Callable[[], float]
-    ) -> None:
+    def __init__(self, leases_dir: Path, lease: Lease, interval: float) -> None:
         self.leases_dir = leases_dir
         self.lease = lease
         self.interval = interval
-        self.now = now
         self.fenced = threading.Event()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
-    def start(self) -> "_Heartbeat":
+    def start(self) -> "_LeaseWatch":
         self._thread.start()
         return self
 
@@ -391,28 +386,11 @@ class _Heartbeat:
             if _lease_lost(self.leases_dir, self.lease):
                 self.fenced.set()
                 logger.warning(
-                    "lost lease at renewal; abandoning before append",
+                    "lost lease to a takeover; abandoning before append",
                     owner=self.lease.owner, chunk=self.lease.chunk,
                     epoch=self.lease.epoch,
                 )
                 return
-            moment = self.now()
-            if moment - self.lease.granted_at >= self.lease.ttl:
-                logger.warning(
-                    "chunk attempt exceeded its timeout; letting the lease expire",
-                    owner=self.lease.owner, chunk=self.lease.chunk,
-                    epoch=self.lease.epoch,
-                )
-                return
-            self.lease = self.lease.renewed(moment)
-            try:
-                self.lease.write(self.leases_dir)
-                obs.active().counter("worker.heartbeats")
-            except OSError as error:
-                logger.warning(
-                    "failed to renew lease",
-                    owner=self.lease.owner, chunk=self.lease.chunk, error=error,
-                )
 
 
 def work_loop(
@@ -431,7 +409,7 @@ def work_loop(
     The long-lived loop behind ``scenarios work``: scan the shared lease
     directory, **claim** an unleased pending chunk (or **take over** an
     expired lease, bumping its epoch and recording a fence), evaluate it
-    while a heartbeat thread renews the lease, **append** to this
+    while a watcher thread checks the lease is still ours, **append** to this
     worker's own isolated store (recording the lease epoch), and
     **release** the lease guardedly.  Exits when the plan is complete,
     ``max_chunks`` claims have been worked, or ``stop`` is set — SIGTERM
@@ -447,7 +425,7 @@ def work_loop(
     ``crash-post`` kill the process around the append; ``hang`` sleeps
     past its own expiry; ``abandon`` walks away from its claim;
     ``poison`` surrenders the lease; ``partition`` computes without
-    heartbeating and abandons if taken over; ``zombie`` sleeps past its
+    watching its lease and abandons if taken over; ``zombie`` sleeps past its
     own expiry and appends under its stale (fenced) epoch anyway;
     ``skew:SECONDS`` offsets every clock read this worker makes.
     """
@@ -461,7 +439,7 @@ def work_loop(
 
     def now() -> float:
         # The injected clock skew applies to *every* wall-clock read this
-        # worker makes — granted/heartbeat/deadline stamps and expiry
+        # worker makes — granted/deadline stamps and expiry
         # checks alike — exactly like a machine with a drifted clock.
         return time.time() + clock_skew
 
@@ -489,7 +467,7 @@ def work_loop(
     leases_dir = lease_directory(campaign_dir)
     leases_dir.mkdir(parents=True, exist_ok=True)
     worker_state = CampaignState(worker_directory(campaign_dir, owner), spec)
-    heartbeat_interval = max(0.05, advert.ttl / 4.0)
+    watch_interval = max(0.05, advert.ttl / 4.0)
 
     claimed_budget = max_chunks if max_chunks is not None else None
     round_number = 0
@@ -512,7 +490,7 @@ def work_loop(
             claimed_budget -= 1
         _work_one_chunk(
             leases_dir, worker_state, claimed, advert, faults, now,
-            heartbeat_interval, report,
+            watch_interval, report,
         )
     report.drained = stop.is_set()
     logger.info(report.describe())
@@ -587,8 +565,8 @@ def _claim_next(
                 continue
             lease = Lease(
                 chunk=chunk, start=start, stop=stop_platform, owner=owner,
-                epoch=epoch, granted_at=moment, heartbeat_at=moment,
-                deadline=moment + advert.ttl, ttl=advert.ttl,
+                epoch=epoch, granted_at=moment, deadline=moment + advert.ttl,
+                ttl=advert.ttl,
             )
             if _claim_lease(leases_dir, lease):
                 obs.active().counter("worker.claims")
@@ -606,8 +584,8 @@ def _claim_next(
         record_fence(leases_dir.parent, chunk, next_epoch)
         lease = Lease(
             chunk=chunk, start=start, stop=stop_platform, owner=owner,
-            epoch=next_epoch, granted_at=moment, heartbeat_at=moment,
-            deadline=moment + advert.ttl, ttl=advert.ttl,
+            epoch=next_epoch, granted_at=moment, deadline=moment + advert.ttl,
+            ttl=advert.ttl,
         )
         lease.write(leases_dir)
         telemetry = obs.active()
@@ -646,7 +624,7 @@ def _work_one_chunk(
     advert: FabricAdvert,
     faults: FaultInjector | None,
     now: Callable[[], float],
-    heartbeat_interval: float,
+    watch_interval: float,
     report: WorkerReport,
 ) -> None:
     """Evaluate one claimed chunk, acting out any injected fault."""
@@ -667,12 +645,12 @@ def _work_one_chunk(
 
     if fault in ("hang", "abandon"):
         if fault == "hang":
-            # A hung worker stops making progress *and* stops heartbeating:
-            # sleep past our own expiry, then abandon — someone else has
-            # (or will have) taken the chunk over.
+            # A hung worker stops making progress: sleep past our own
+            # expiry, then abandon — someone else has (or will have)
+            # taken the chunk over.
             _sleep_past_expiry(lease, advert, now)
-        # An abandoning worker walks away at once: no heartbeat, no
-        # release — the lease runs out and is re-issued.
+        # An abandoning worker walks away at once without releasing:
+        # the lease runs out and is re-issued.
         report.abandoned.append(chunk)
         telemetry.counter("worker.abandoned")
         return
@@ -683,16 +661,16 @@ def _work_one_chunk(
         # fenced epoch — until the attempt budget degrades it.
         logger.warning("poisoned chunk (injected)", owner=lease.owner, chunk=chunk)
         surrendered = dataclasses.replace(
-            lease, heartbeat_at=now(), deadline=now() - advert.skew_slack - advert.ttl
+            lease, deadline=now() - advert.skew_slack - advert.ttl
         )
         surrendered.write(leases_dir)
         report.failed.append(chunk)
         telemetry.counter("worker.failed")
         return
 
-    heartbeat: _Heartbeat | None = None
+    watch: _LeaseWatch | None = None
     if fault not in ("partition", "zombie"):
-        heartbeat = _Heartbeat(leases_dir, lease, heartbeat_interval, now).start()
+        watch = _LeaseWatch(leases_dir, lease, watch_interval).start()
     try:
         with telemetry.span(
             "work", chunk=chunk, owner=lease.owner, epoch=lease.epoch
@@ -700,18 +678,18 @@ def _work_one_chunk(
             rows = evaluate_range(spec, lease.start, lease.stop)
             work_span.set(rows=len(rows))
         if fault in ("partition", "zombie"):
-            # Partitioned/zombie workers never heartbeated: sleep until the
-            # lease has definitely been expirable, so the takeover this
+            # Partitioned/zombie workers never watched their lease: sleep
+            # until it has definitely been expirable, so the takeover this
             # fault is meant to collide with has had its chance.
             _sleep_past_expiry(lease, advert, now)
-        if heartbeat is not None:
-            heartbeat.stop()
-            if heartbeat.fenced.is_set():
+        if watch is not None:
+            watch.stop()
+            if watch.fenced.is_set():
                 report.abandoned.append(chunk)
                 telemetry.counter("worker.abandoned")
                 return
         if fault == "partition" and _lease_lost(leases_dir, lease):
-            # The renewal-time check a partitioned worker never ran: the
+            # The watcher's check a partitioned worker never ran: the
             # append-time fence.  Taken over → abandon, never append.
             logger.warning(
                 "chunk was taken over during the partition; abandoning",
@@ -750,8 +728,8 @@ def _work_one_chunk(
         report.completed.append(chunk)
         telemetry.counter("worker.completed")
     finally:
-        if heartbeat is not None:
-            heartbeat.stop()
+        if watch is not None:
+            watch.stop()
         telemetry.flush()
 
 
@@ -1040,11 +1018,15 @@ def run_detached_campaign(
             if local is not None:
                 for owner, code in local.failed():
                     # A dead local worker's leases are surrendered at once
-                    # instead of waiting out their TTL and skew slack.
+                    # instead of waiting out their TTL and skew slack —
+                    # except a chunk it made durable after the merge above
+                    # (a crash after the append): its restart re-blesses it.
                     logger.warning("local worker died; restarting it", owner=owner, exit=code)
+                    fences = read_fences(state)
+                    durable = _observed_chunks(state, fences)
                     for lease in read_leases(state):
-                        if lease.owner == owner and lease.chunk not in done:
-                            expire(lease, read_fences(state), f"worker exited {code}")
+                        if lease.owner == owner and lease.chunk not in durable:
+                            expire(lease, fences, f"worker exited {code}")
                     local.restart(owner)
                 if local.finished:
                     break

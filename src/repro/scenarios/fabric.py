@@ -8,15 +8,16 @@ directory; the coordinator and the worker loop that drive them live in
 :mod:`repro.scenarios.detached`:
 
 * **leases** — one JSON file per chunk range (``leases/chunk-NNNNNN.json``)
-  naming the owner, an epoch and a wall-clock deadline that heartbeats
-  extend; nobody may declare a lease expired before ``deadline +
-  skew_slack``, so modest clock skew between machines never causes a
-  false takeover;
+  naming the owner, an epoch and a wall-clock deadline fixed at claim
+  time, one TTL after the grant; nobody may declare a lease expired
+  before ``deadline + skew_slack``, so modest clock skew between
+  machines never causes a false takeover;
 * **epoch fences** (``fences.jsonl``) — every re-issued lease bumps the
   chunk's epoch and records a fence, so a zombie attempt's late append
   can never enter the canonical store;
 * a :class:`FaultPolicy` (attempt budget, per-attempt timeout, skew
-  slack) and a deterministic :class:`FaultInjector` for chaos runs;
+  slack, poll interval) and a deterministic :class:`FaultInjector` for
+  chaos runs;
 * the **coordinator journal** (``coordinator.jsonl``), from which a
   restarted coordinator — or :func:`heal_campaign` — reconstructs its
   decisions instead of inferring them;
@@ -44,7 +45,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import repro.obs as obs
 from repro.exceptions import ExperimentError
@@ -76,11 +77,10 @@ logger = get_logger(__name__)
 
 #: Injectable fault kinds, all acted out by the worker that claims the
 #: chunk: ``crash-pre``/``crash-post`` kill it around the append,
-#: ``hang`` stops it (and its heartbeats) past its lease's expiry,
-#: ``poison`` fails the chunk, ``abandon`` walks away from the claim
-#: without heartbeating or releasing, ``partition`` keeps computing
-#: without heartbeating, and ``zombie`` wakes up after being fenced and
-#: appends anyway.
+#: ``hang`` stops it past its lease's expiry, ``poison`` fails the
+#: chunk, ``abandon`` walks away from the claim without releasing it,
+#: ``partition`` keeps computing without watching its lease, and
+#: ``zombie`` wakes up after being fenced and appends anyway.
 FAULT_KINDS = ("crash-pre", "crash-post", "hang", "poison", "abandon", "partition", "zombie")
 
 #: Default wall-clock slack added to a lease deadline before another
@@ -94,33 +94,28 @@ _HEAL_OWNER = "heal"
 
 
 # ---------------------------------------------------------------------------
-# Fault policy: retry, backoff, timeout, graceful degradation
+# Fault policy: attempt budget, timeout, graceful degradation
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """Retry/timeout/backoff policy wrapping every chunk attempt.
+    """The lease protocol's constants for one campaign.
 
     ``max_attempts`` bounds the lease epochs a chunk may be worked
     under; once exhausted the chunk **degrades gracefully** to an
     evaluation in the coordinator (no injected faults, no worker — the
-    slow but sure path).  ``backoff(attempt)`` is deterministic —
-    ``base * factor**attempt`` capped at ``cap`` seconds, no jitter — so
-    fault schedules replay identically.  ``timeout`` is the per-attempt
-    wall-clock budget and the lease TTL: a lease's ``deadline`` is
-    ``timeout`` seconds past its last heartbeat, workers renew every
-    :attr:`heartbeat_interval` seconds but stop renewing once the
-    attempt has held its lease for ``timeout`` seconds, and nobody may
-    declare a lease expired until ``skew_slack`` seconds *past* its
-    deadline — so modest clock skew between machines never causes a
-    false takeover, and a hung attempt is re-issued under a bumped epoch.
+    slow but sure path).  ``timeout`` is the per-attempt wall-clock
+    budget and the lease TTL: a lease's ``deadline`` is fixed at
+    ``granted_at + timeout``, and nobody may declare a lease expired
+    until ``skew_slack`` seconds *past* its deadline — so modest clock
+    skew between machines never causes a false takeover, and an attempt
+    still running after its budget is re-issued under a bumped epoch.
+    ``poll_interval`` paces the coordinator's observation loop and the
+    claim scans of its local workers.
     """
 
     max_attempts: int = 3
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_cap: float = 1.0
     timeout: float = 60.0
     poll_interval: float = 0.02
     skew_slack: float = DEFAULT_SKEW_SLACK
@@ -129,12 +124,6 @@ class FaultPolicy:
         if self.max_attempts < 1:
             raise ExperimentError(
                 f"max_attempts must be at least 1 (got {self.max_attempts})"
-            )
-        if self.backoff_base < 0 or self.backoff_factor < 1 or self.backoff_cap < 0:
-            raise ExperimentError(
-                "backoff must be non-negative with factor >= 1 "
-                f"(got base={self.backoff_base}, factor={self.backoff_factor}, "
-                f"cap={self.backoff_cap})"
             )
         if self.timeout <= 0 or self.poll_interval <= 0:
             raise ExperimentError(
@@ -145,48 +134,6 @@ class FaultPolicy:
             raise ExperimentError(
                 f"skew_slack must be non-negative (got {self.skew_slack})"
             )
-
-    @property
-    def heartbeat_interval(self) -> float:
-        """Seconds between a worker's lease renewals.
-
-        A quarter of the lease TTL: several renewals can be lost (a slow
-        shared filesystem, a stalled worker) before the lease expires.
-        """
-        return max(0.05, self.timeout / 4.0)
-
-    def backoff(self, attempt: int) -> float:
-        """Seconds to wait before re-trying after failed attempt ``attempt``."""
-        return min(self.backoff_cap, self.backoff_base * self.backoff_factor**attempt)
-
-    def backoff_schedule(self) -> tuple[float, ...]:
-        """The full deterministic backoff sequence, one delay per retry."""
-        return tuple(self.backoff(attempt) for attempt in range(self.max_attempts - 1))
-
-    def run(
-        self,
-        attempt_fn: Callable[[int], object],
-        degrade: Callable[[], object] | None = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        """Run ``attempt_fn(attempt)`` under this policy, in-process.
-
-        The process-free core of the retry loop (and its isolation-test
-        surface): up to ``max_attempts`` tries with the deterministic
-        backoff sleeps in between, then the ``degrade`` fallback — or the
-        last error re-raised when there is none.
-        """
-        error: BaseException | None = None
-        for attempt in range(self.max_attempts):
-            if attempt:
-                sleep(self.backoff(attempt - 1))
-            try:
-                return attempt_fn(attempt)
-            except ExperimentError as exc:
-                error = exc
-        if degrade is not None:
-            return degrade()
-        raise error  # type: ignore[misc]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +182,7 @@ class FaultInjector:
         hang@1                 # chunk 1's first attempt hangs
         poison@3:*             # chunk 3 fails on every worker attempt
         abandon@5              # chunk 5 is claimed, then walked away from
-        partition@1            # stop heartbeating on chunk 1, keep computing
+        partition@1            # stop watching chunk 1's lease, keep computing
         zombie@2               # sleep past expiry on chunk 2, append anyway
         skew:3.5               # this worker's clock runs 3.5 s fast (or
                                # slow, with skew:-3.5) — not a chunk fault
@@ -388,9 +335,9 @@ class Lease:
     crash, takeover after an expired deadline), so a stale worker's late
     write is recognisably outdated — the **fencing token** of the fabric.
 
-    ``granted_at``/``heartbeat_at``/``deadline`` are wall-clock epoch
-    seconds, ``ttl`` is the seconds each heartbeat renewal extends the
-    deadline by.  Expiry is never declared before ``deadline +
+    ``granted_at``/``deadline`` are wall-clock epoch seconds, and
+    ``deadline`` is ``granted_at + ttl``: the attempt's whole budget,
+    never extended.  Expiry is never declared before ``deadline +
     skew_slack`` (:meth:`expired`), so modest clock skew between
     machines cannot cause a false takeover.
     """
@@ -401,7 +348,6 @@ class Lease:
     owner: str
     epoch: int
     granted_at: float | None = None
-    heartbeat_at: float | None = None
     deadline: float | None = None
     ttl: float | None = None
 
@@ -409,16 +355,11 @@ class Lease:
         """Wall-clock expiry with skew slack.
 
         A lease file without wall-clock fields (written by an older
-        release) is treated as expired: nothing will ever renew it.
+        release) is treated as expired: no live worker holds it.
         """
         if self.deadline is None:
             return True
         return now > self.deadline + skew_slack
-
-    def renewed(self, now: float) -> "Lease":
-        """This lease with its heartbeat refreshed and deadline extended."""
-        ttl = self.ttl if self.ttl is not None else 0.0
-        return dataclasses.replace(self, heartbeat_at=now, deadline=now + ttl)
 
     def reissued(self, owner: str, now: float, ttl: float) -> "Lease":
         """A takeover lease: same chunk, new owner, **bumped epoch**."""
@@ -427,7 +368,6 @@ class Lease:
             owner=owner,
             epoch=self.epoch + 1,
             granted_at=now,
-            heartbeat_at=now,
             deadline=now + ttl,
             ttl=ttl,
         )
@@ -442,8 +382,8 @@ class Lease:
         """Atomically write (or rewrite) the lease file.
 
         Temp file + fsync + ``os.replace``: a reader never observes a
-        half-written lease from *this* path — heartbeats rewrite the lease
-        mid-chunk, so readers and writers genuinely race.  (A worker dying
+        half-written lease from *this* path — takeovers and surrenders
+        rewrite a lease other parties are reading.  (A worker dying
         mid-write on a non-atomic network filesystem can still tear one;
         :func:`read_lease` treats such files as expired.)
         """
@@ -471,9 +411,6 @@ class Lease:
             owner=str(record["owner"]),
             epoch=int(record["epoch"]),
             granted_at=None if record.get("granted_at") is None else float(record["granted_at"]),
-            heartbeat_at=(
-                None if record.get("heartbeat_at") is None else float(record["heartbeat_at"])
-            ),
             deadline=None if deadline is None else float(deadline),
             ttl=None if record.get("ttl") is None else float(record["ttl"]),
         )

@@ -11,7 +11,8 @@ the store writable and never needs the spec object:
 * **throughput** — rows/s and a chunk-based ETA derived from the span
   sidecar's wall-clock extent;
 * **lease health** — every outstanding lease with its owner, epoch and
-  heartbeat age, flagged when expired past the advert's skew slack;
+  how long it has been held, flagged when expired past the advert's
+  skew slack;
 * **phase breakdown** — per-phase totals (queue / evaluate / solve /
   replay / append / merge / work) from the merged ``span.*.seconds``
   histograms;
@@ -61,7 +62,7 @@ class LeaseHealth:
     chunk: int
     owner: str
     epoch: int
-    heartbeat_age: float
+    held_for: float
     expired: bool
 
 
@@ -185,7 +186,7 @@ def _read_leases(campaign_dir: Path, skew_slack: float, now: float) -> list[Leas
             chunk = int(record["chunk"])
             owner = str(record.get("owner", "?"))
             epoch = int(record.get("epoch", 0))
-            heartbeat = float(record.get("heartbeat_at") or record.get("granted_at") or now)
+            granted = float(record.get("granted_at") or now)
             deadline = record.get("deadline")
         except (OSError, ValueError, KeyError, TypeError):
             continue
@@ -200,7 +201,7 @@ def _read_leases(campaign_dir: Path, skew_slack: float, now: float) -> list[Leas
                 chunk=chunk,
                 owner=owner,
                 epoch=epoch,
-                heartbeat_age=max(0.0, now - heartbeat),
+                held_for=max(0.0, now - granted),
                 expired=expired,
             )
         )
@@ -346,11 +347,7 @@ def render_status(status: CampaignStatus) -> str:
     if status.leases:
         lines.append("leases:")
         for lease in status.leases:
-            health = (
-                "EXPIRED"
-                if lease.expired
-                else f"heartbeat {_format_seconds(lease.heartbeat_age)} ago"
-            )
+            health = "EXPIRED" if lease.expired else f"held {_format_seconds(lease.held_for)}"
             lines.append(
                 f"  chunk {lease.chunk}: owner {lease.owner}, epoch {lease.epoch}, {health}"
             )

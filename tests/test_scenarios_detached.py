@@ -8,7 +8,7 @@ epochs, skewed clocks, and a coordinator kill + restart — produces a
 
 Workers run as real forked processes where a fault must kill them
 (crash-pre/crash-post call ``os._exit``); protocol primitives (claims,
-takeovers, guarded release, heartbeat fencing) are tested single-process
+takeovers, guarded release, takeover detection) are tested single-process
 for determinism.
 """
 
@@ -25,9 +25,11 @@ from repro.exceptions import ExperimentError
 from repro.scenarios.detached import (
     DetachedProgress,
     FabricAdvert,
+    WorkerReport,
     _claim_backoff,
     _claim_lease,
-    _Heartbeat,
+    _claim_next,
+    _LeaseWatch,
     _lease_lost,
     _observed_chunks,
     _release_lease,
@@ -35,6 +37,7 @@ from repro.scenarios.detached import (
     _work_one_chunk,
     default_owner,
     merge_worker_snapshots,
+    plan_chunks_from_advert,
     run_detached_campaign,
     work_loop,
 )
@@ -59,8 +62,6 @@ def small_spec(name="detached-small", count=6, sizes=(40, 120)):
 def fast_policy(**overrides):
     defaults = dict(
         max_attempts=3,
-        backoff_base=0.01,
-        backoff_cap=0.05,
         timeout=1.5,
         poll_interval=0.05,
         skew_slack=0.4,
@@ -129,7 +130,7 @@ class TestClaimProtocol:
     def make_lease(self, owner, epoch=0, deadline_offset=10.0):
         now = time.time()
         return Lease(chunk=0, start=0, stop=2, owner=owner, epoch=epoch,
-                     granted_at=now, heartbeat_at=now,
+                     granted_at=now,
                      deadline=now + deadline_offset, ttl=10.0)
 
     def test_exactly_one_claimant_wins_a_race(self, tmp_path):
@@ -184,6 +185,28 @@ class TestClaimProtocol:
         assert _release_lease(tmp_path, taken)
         assert not (tmp_path / "chunk-000000.json").exists()
 
+    def test_claims_and_takeovers_fix_the_deadline_one_ttl_past_the_grant(self, tmp_path):
+        spec = small_spec()
+        _, state = bootstrap_campaign(tmp_path, spec, ttl=1.5, skew_slack=0.4)
+        advert = FabricAdvert.read(state.directory)
+        plan = plan_chunks_from_advert(spec, advert)
+        leases_dir = lease_directory(state)
+
+        def claim(owner, moment):
+            return _claim_next(
+                leases_dir, plan, set(), read_fences(state), owner, advert,
+                lambda: moment, WorkerReport(owner=owner),
+            )
+
+        first = claim("w0", 100.0)
+        assert (first.chunk, first.epoch, first.granted_at, first.deadline) == (0, 0, 100.0, 101.5)
+        # Long past that deadline (and the skew slack), w1 takes chunk 0 over.
+        taken = claim("w1", 200.0)
+        assert (taken.chunk, taken.owner, taken.epoch) == (0, "w1", 1)
+        assert (taken.granted_at, taken.deadline) == (200.0, 201.5)
+        assert Lease.read(taken.path(leases_dir)) == taken
+        assert read_fences(state) == {0: 1}
+
     def test_claim_backoff_is_jittered_and_deterministic(self):
         delays = {_claim_backoff(f"w{i}", 3, 1.0) for i in range(16)}
         assert len(delays) > 8  # different owners spread out
@@ -191,44 +214,44 @@ class TestClaimProtocol:
         assert _claim_backoff("w0", 3, 1.0) == _claim_backoff("w0", 3, 1.0)
 
 
-class TestHeartbeat:
-    def test_heartbeat_renews_the_lease(self, tmp_path):
+class TestLeaseWatch:
+    def test_watch_never_rewrites_the_lease(self, tmp_path):
+        """The per-attempt budget: the deadline fixed at claim time stands,
+        so a hung attempt's lease runs out one TTL after the grant."""
         now = time.time()
         lease = Lease(chunk=0, start=0, stop=2, owner="w0", epoch=0,
-                      granted_at=now, heartbeat_at=now, deadline=now + 0.5, ttl=0.5)
+                      granted_at=now, deadline=now + 0.5, ttl=0.5)
         lease.write(tmp_path)
-        beat = _Heartbeat(tmp_path, lease, interval=0.05, now=time.time).start()
-        time.sleep(0.4)
-        beat.stop()
-        renewed = Lease.read(tmp_path / "chunk-000000.json")
-        assert renewed.deadline > lease.deadline
-        assert not beat.fenced.is_set()
+        before = (tmp_path / "chunk-000000.json").read_bytes()
+        watch = _LeaseWatch(tmp_path, lease, interval=0.05).start()
+        time.sleep(0.8)
+        watch.stop()
+        assert (tmp_path / "chunk-000000.json").read_bytes() == before
+        assert Lease.read(tmp_path / "chunk-000000.json").expired(time.time(), skew_slack=0.0)
+        assert not watch.fenced.is_set()
 
-    def test_heartbeat_stops_renewing_after_one_ttl(self, tmp_path):
-        """The per-attempt budget: a hung attempt's lease runs out."""
+    def test_watch_detects_a_cleared_lease(self, tmp_path):
+        """The coordinator clears a lease whose chunk went canonical
+        elsewhere: the worker abandons its own copy before append time."""
         now = time.time()
         lease = Lease(chunk=0, start=0, stop=2, owner="w0", epoch=0,
-                      granted_at=now, heartbeat_at=now, deadline=now + 0.5, ttl=0.5)
+                      granted_at=now, deadline=now + 10, ttl=10.0)
         lease.write(tmp_path)
-        beat = _Heartbeat(tmp_path, lease, interval=0.05, now=time.time).start()
-        time.sleep(1.2)
-        beat.stop()
-        last = Lease.read(tmp_path / "chunk-000000.json")
-        assert last.deadline > lease.deadline  # renewed at first ...
-        assert last.deadline < now + 2 * 0.5  # ... but not past one TTL
-        assert last.expired(time.time(), skew_slack=0.0)
-        assert not beat.fenced.is_set()
+        watch = _LeaseWatch(tmp_path, lease, interval=0.05).start()
+        lease.path(tmp_path).unlink()
+        assert watch.fenced.wait(timeout=2.0)
+        watch.stop()
 
-    def test_heartbeat_detects_takeover_and_fences(self, tmp_path):
+    def test_watch_detects_takeover_and_fences(self, tmp_path):
         now = time.time()
         lease = Lease(chunk=0, start=0, stop=2, owner="slow", epoch=0,
-                      granted_at=now, heartbeat_at=now, deadline=now + 10, ttl=10.0)
+                      granted_at=now, deadline=now + 10, ttl=10.0)
         lease.write(tmp_path)
-        beat = _Heartbeat(tmp_path, lease, interval=0.05, now=time.time).start()
+        watch = _LeaseWatch(tmp_path, lease, interval=0.05).start()
         lease.reissued("taker", now=time.time(), ttl=10.0).write(tmp_path)
-        assert beat.fenced.wait(timeout=2.0)
-        beat.stop()
-        # The displaced heartbeat never overwrote the taker's lease.
+        assert watch.fenced.wait(timeout=2.0)
+        watch.stop()
+        # The displaced watcher never touched the taker's lease.
         assert Lease.read(tmp_path / "chunk-000000.json").owner == "taker"
 
 
@@ -315,7 +338,7 @@ class TestWorkLoopSingleWorker:
         leases_dir = lease_directory(state)
         now = time.time()
         stale = Lease(chunk=0, start=0, stop=2, owner="zombie", epoch=0,
-                      granted_at=now - 60, heartbeat_at=now - 60,
+                      granted_at=now - 60,
                       deadline=now - 30, ttl=1.5)
         stale.write(leases_dir)
         # A healthy worker takes the expired lease over (epoch 1, fenced).
@@ -344,7 +367,7 @@ class TestWorkLoopSingleWorker:
         shutil.rmtree(state.directory / "workers")
         now = time.time()
         lease = Lease(chunk=0, start=0, stop=2, owner="zombie", epoch=0,
-                      granted_at=now - 60, heartbeat_at=now - 60,
+                      granted_at=now - 60,
                       deadline=now - 30, ttl=1.5)
         advert = FabricAdvert.read(state.directory)
         report = WorkerReport(owner="zombie")
@@ -354,6 +377,29 @@ class TestWorkLoopSingleWorker:
         )
         assert report.abandoned == [0]
         assert not (state.directory / "workers").exists()
+
+    def test_abandon_walks_away_leaving_its_lease(self, tmp_path):
+        """abandon: no evaluation, no append, no release — the lease stays
+        on disk untouched until it runs out and is re-issued."""
+        from repro.scenarios.fabric import FaultInjector
+
+        spec = small_spec()
+        _, state = bootstrap_campaign(tmp_path, spec)
+        advert = FabricAdvert.read(state.directory)
+        worker_state = CampaignState(worker_directory(state, "w0"), spec)
+        now = time.time()
+        lease = Lease(chunk=1, start=2, stop=4, owner="w0", epoch=0,
+                      granted_at=now, deadline=now + advert.ttl, ttl=advert.ttl)
+        lease.write(lease_directory(state))
+        before = lease.path(lease_directory(state)).read_bytes()
+        report = WorkerReport(owner="w0")
+        _work_one_chunk(
+            lease_directory(state), worker_state, lease, advert,
+            FaultInjector.from_spec("abandon@1"), time.time, 0.05, report,
+        )
+        assert (report.abandoned, report.completed) == ([1], [])
+        assert 1 not in worker_state.completed_chunks
+        assert lease.path(lease_directory(state)).read_bytes() == before
 
 
 class TestDetachedCampaign:

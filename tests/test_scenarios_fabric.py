@@ -29,13 +29,14 @@ from repro.scenarios.fabric import (
     heal_campaign,
     lease_directory,
     merge_worker_stores,
+    read_fences,
     read_lease,
     read_leases,
     worker_directory,
 )
 from repro.scenarios.runner import evaluate_range, run_campaign
 from repro.scenarios.spec import named_space, spec_hash
-from repro.scenarios.store import CampaignState
+from repro.scenarios.store import CampaignState, MergeReport
 
 
 def small_spec(name="fabric-small", count=6, sizes=(40, 120), noise=None):
@@ -46,9 +47,6 @@ def fast_policy(**overrides):
     """Short leases and skew slack, so expiries cost ~2 s, not ~62 s."""
     defaults = dict(
         max_attempts=3,
-        backoff_base=0.01,
-        backoff_factor=2.0,
-        backoff_cap=0.05,
         timeout=1.5,
         poll_interval=0.02,
         skew_slack=0.3,
@@ -65,65 +63,24 @@ def run_local(spec, store, workers=2, policy=None, **kwargs):
     )
 
 
+@pytest.fixture
+def keep_scaffolding(monkeypatch):
+    """Keep a finished campaign's leases and fences on disk for inspection."""
+    monkeypatch.setattr(detached, "_cleanup_if_complete", lambda state, total: None)
+
+
 def store_bytes(root, spec):
     return (root / spec_hash(spec) / "chunks.jsonl").read_bytes()
 
 
 class TestFaultPolicy:
-    """The retry/backoff policy in isolation (no processes involved)."""
-
-    def test_backoff_schedule_is_deterministic(self):
-        policy = FaultPolicy(
-            max_attempts=4, backoff_base=0.1, backoff_factor=2.0, backoff_cap=0.3
-        )
-        assert policy.backoff_schedule() == (0.1, 0.2, 0.3)
-        assert policy.backoff(10) == 0.3  # capped
-
-    def test_run_retries_then_succeeds(self):
-        sleeps: list[float] = []
-        calls: list[int] = []
-
-        def attempt(attempt_index):
-            calls.append(attempt_index)
-            if attempt_index < 2:
-                raise ExperimentError("flaky")
-            return "ok"
-
-        policy = FaultPolicy(max_attempts=4, backoff_base=0.1, backoff_factor=2.0)
-        assert policy.run(attempt, sleep=sleeps.append) == "ok"
-        assert calls == [0, 1, 2]
-        assert sleeps == [0.1, 0.2]
-
-    def test_exhausted_attempts_escalate_to_degradation(self):
-        sleeps: list[float] = []
-
-        def attempt(attempt_index):
-            raise ExperimentError("always broken")
-
-        policy = FaultPolicy(max_attempts=3, backoff_base=0.1, backoff_factor=2.0)
-        assert policy.run(attempt, degrade=lambda: "degraded", sleep=sleeps.append) == "degraded"
-        # The full backoff budget was spent before degrading.
-        assert sleeps == list(policy.backoff_schedule())
-
-    def test_exhausted_attempts_without_degradation_raise_last_error(self):
-        policy = FaultPolicy(max_attempts=2, backoff_base=0.0)
-        with pytest.raises(ExperimentError, match="always broken"):
-            policy.run(
-                lambda attempt: (_ for _ in ()).throw(ExperimentError("always broken")),
-                sleep=lambda delay: None,
-            )
-
     def test_validation(self):
         with pytest.raises(ExperimentError, match="max_attempts"):
             FaultPolicy(max_attempts=0)
-        with pytest.raises(ExperimentError, match="backoff"):
-            FaultPolicy(backoff_factor=0.5)
         with pytest.raises(ExperimentError, match="timeout"):
             FaultPolicy(timeout=0.0)
-
-    def test_heartbeat_interval_is_a_quarter_ttl(self):
-        assert FaultPolicy(timeout=1.0).heartbeat_interval == 0.25
-        assert FaultPolicy(timeout=0.1).heartbeat_interval == 0.05
+        with pytest.raises(ExperimentError, match="skew_slack"):
+            FaultPolicy(skew_slack=-1.0)
 
 
 class TestFaultInjector:
@@ -171,7 +128,7 @@ class TestFaultInjector:
 class TestLease:
     def test_round_trip(self, tmp_path):
         lease = Lease(chunk=3, start=6, stop=8, owner="w1", epoch=2,
-                      granted_at=10.0, heartbeat_at=12.0, deadline=22.0, ttl=10.0)
+                      granted_at=10.0, deadline=22.0, ttl=10.0)
         lease.write(tmp_path)
         assert Lease.read(lease.path(tmp_path)) == lease
 
@@ -186,6 +143,19 @@ class TestLease:
         lease = read_lease(path)
         assert (lease.chunk, lease.owner, lease.deadline) == (1, "w0", None)
         assert lease.expired(now=0.0)
+
+    def test_lease_file_with_a_heartbeat_stamp_still_reads(self, tmp_path):
+        """Older releases also stamped ``heartbeat_at``; nothing renews a
+        lease any more, so the stamp is ignored and never written."""
+        path = tmp_path / "chunk-000002.json"
+        path.write_text(json.dumps({
+            "chunk": 2, "start": 4, "stop": 6, "owner": "w1", "epoch": 1,
+            "granted_at": 10.0, "heartbeat_at": 12.0, "deadline": 20.0, "ttl": 10.0,
+        }), encoding="utf-8")
+        lease = read_lease(path)
+        assert (lease.granted_at, lease.deadline, lease.ttl) == (10.0, 20.0, 10.0)
+        assert not lease.expired(now=21.0, skew_slack=2.0)
+        assert "heartbeat_at" not in lease.payload()
 
 
 @pytest.fixture(scope="module")
@@ -221,25 +191,33 @@ class TestFabricByteIdentity:
         assert not (progress.state.directory / "workers").exists()
         assert not lease_directory(progress.state).exists()
 
-    def test_hang_expires_lease_and_converges(self, tmp_path, reference):
+    def test_hang_expires_lease_and_converges(self, tmp_path, reference, keep_scaffolding):
         spec, expected, _ = reference
         progress = run_local(spec, tmp_path, policy=fast_policy(timeout=0.6), faults="hang@0")
         assert progress.finished
+        # The hung lease was taken over (by a worker or the coordinator),
+        # which always records a fence past the hung epoch.
+        assert read_fences(progress.state).get(0, 0) >= 1
         assert store_bytes(tmp_path, spec) == expected
 
-    def test_abandoned_lease_is_reissued(self, tmp_path, reference):
+    def test_abandoned_lease_is_reissued(self, tmp_path, reference, keep_scaffolding):
         """abandon: the worker claims and walks away; the lease runs out
         and the chunk is re-issued under a bumped epoch."""
         spec, expected, _ = reference
         progress = run_local(spec, tmp_path, policy=fast_policy(timeout=0.6), faults="abandon@1")
         assert progress.finished
+        assert read_fences(progress.state).get(1, 0) >= 1
         assert store_bytes(tmp_path, spec) == expected
 
-    def test_poisoned_chunk_degrades_to_parent(self, tmp_path, reference):
+    def test_poisoned_chunk_degrades_to_parent(self, tmp_path, reference, keep_scaffolding):
         spec, expected, _ = reference
-        progress = run_local(spec, tmp_path, faults="poison@1")
+        policy = fast_policy()
+        progress = run_local(spec, tmp_path, policy=policy, faults="poison@1")
         assert progress.finished
         assert progress.degraded_chunks == [1]
+        # Every worker attempt was spent before degrading: epochs 0 …
+        # max_attempts - 1 were each leased and fenced off in turn.
+        assert read_fences(progress.state)[1] >= policy.max_attempts - 1
         assert store_bytes(tmp_path, spec) == expected
 
     def test_seeded_schedule_converges(self, tmp_path, reference):
@@ -261,9 +239,9 @@ class TestFabricByteIdentity:
 
 class TestLocalWorkerSupervision:
     """The coordinator's own workers: dead ones surrender their leases at
-    once, hung ones stop renewing, budgets bound the work."""
+    once, hung ones run out of lease, budgets bound the work."""
 
-    def test_hung_attempt_stops_renewing_and_is_taken_over(
+    def test_hung_attempt_runs_out_of_lease_and_is_taken_over(
         self, tmp_path, monkeypatch, reference
     ):
         spec, expected, _ = reference
@@ -274,7 +252,7 @@ class TestLocalWorkerSupervision:
 
         def evaluate_or_hang(spec_, start, stop):
             # The first attempt anywhere hangs for 3 TTLs (no injected
-            # fault: its heartbeat thread is alive), logging its lease.
+            # fault: its lease watcher is alive), logging its lease.
             try:
                 os.close(os.open(tmp_path / "hung", os.O_CREAT | os.O_EXCL))
             except FileExistsError:
@@ -303,9 +281,8 @@ class TestLocalWorkerSupervision:
             lease for lease in seen
             if lease is not None and (lease["owner"], lease["epoch"]) == (first["owner"], 0)
         ]
-        # Renewals stopped after one TTL: the deadline never got past
-        # granted_at + 2 * TTL (the last renewal + one TTL) ...
-        assert max(lease["deadline"] for lease in hung) < first["granted_at"] + 2 * ttl
+        # The deadline never advanced: it stayed one TTL past the grant ...
+        assert {lease["deadline"] for lease in hung} == {first["granted_at"] + ttl}
         # ... and while the attempt was still hung, its lease was taken
         # over (re-issued under a bumped epoch, then released as done).
         assert len(hung) < len(seen)
@@ -329,6 +306,21 @@ class TestLocalWorkerSupervision:
         assert progress.finished
         assert store_bytes(tmp_path, spec) == expected
 
+    def test_dead_worker_durable_chunk_is_not_fenced(self, tmp_path, monkeypatch):
+        """A worker that dies after its append but before the coordinator
+        merges has made its chunk durable: the dead worker's lease on it is
+        left alone, not fenced, so its bytes merge instead of the chunk
+        being evaluated again."""
+        spec = small_spec()
+        real_merge = detached.merge_worker_snapshots
+        # The coordinator never merges during the run, so the crash always
+        # falls between a merge and the dead-worker check.
+        monkeypatch.setattr(detached, "merge_worker_snapshots", lambda state: MergeReport())
+        progress = run_local(spec, tmp_path, workers=1, max_chunks=1, faults="crash-post@0")
+        assert progress.expired_leases == 0
+        assert read_fences(progress.state) == {}
+        assert real_merge(progress.state).added == [0]
+
     def test_zero_budget_starts_no_worker(self, tmp_path):
         progress = run_local(small_spec(), tmp_path, max_chunks=0)
         assert progress.completed_after == progress.completed_before == 0
@@ -350,26 +342,28 @@ class TestAbandonedLeasesAndHeal:
     def test_heal_recovers_abandoned_lease_byte_identically(self, tmp_path):
         spec = small_spec()
         reference = run_campaign(spec, tmp_path / "ref", chunk_size=2)
-        # One budgeted worker: chunk 0 done, chunk 1 claimed and walked
-        # away from, chunk 2 never leased.  The coordinator returns when
-        # the worker's budget is spent, leaving the abandoned lease.
+        # One budgeted worker: chunks 0 and 1 done, chunk 2 claimed and
+        # walked away from.  The coordinator returns when the worker's
+        # budget is spent, leaving the abandoned lease.
         partial = run_local(
-            spec, tmp_path / "chaos", workers=1, max_chunks=2,
-            policy=fast_policy(timeout=60.0), faults="abandon@1",
+            spec, tmp_path / "chaos", workers=1, max_chunks=3,
+            policy=fast_policy(timeout=60.0), faults="abandon@2",
         )
-        assert partial.completed_after == 1
+        assert partial.completed_after == 2
         (lease,) = read_leases(partial.state)
-        assert (lease.chunk, lease.owner, lease.stop - lease.start) == (1, "w0", 2)
+        assert (lease.chunk, lease.owner, lease.stop - lease.start) == (2, "w0", 2)
         # Once that lease has run out, heal re-evaluates its chunk.
         dataclasses.replace(lease, deadline=time.time() - 60.0).write(
             lease_directory(partial.state)
         )
         report = heal_campaign(spec, tmp_path / "chaos", chunk_size=2)
-        assert report.healed_chunks == [1]
-        assert report.missing_chunks == 1
-        resumed = run_campaign(spec, tmp_path / "chaos", chunk_size=2)
+        assert report.complete
+        assert report.healed_chunks == [2]
         assert store_bytes(tmp_path / "chaos", spec) == store_bytes(tmp_path / "ref", spec)
-        assert resumed.rows() == reference.rows()
+        assert report.state.rows() == reference.rows()
+        # Healing cleans up: no leases, no worker stores.
+        assert not lease_directory(report.state).exists()
+        assert not (report.state.directory / "workers").exists()
 
     def test_heal_on_clean_store_is_a_no_op(self, tmp_path):
         spec = small_spec()
@@ -524,7 +518,7 @@ class TestTornLeaseFiles:
         leases_dir = lease_directory(state)
         leases_dir.mkdir(parents=True)
         good = Lease(chunk=1, start=2, stop=4, owner="w0", epoch=0,
-                     granted_at=1.0, heartbeat_at=1.0, deadline=100.0, ttl=99.0)
+                     granted_at=1.0, deadline=100.0, ttl=99.0)
         good.write(leases_dir)
         (leases_dir / "chunk-000000.json").write_text('{"chunk": 0, "sta', encoding="utf-8")
         with caplog.at_level(logging.WARNING, logger="repro.scenarios.fabric"):
@@ -606,28 +600,20 @@ class TestMergeFencing:
 class TestWallClockLease:
     def test_wall_clock_round_trip(self, tmp_path):
         lease = Lease(chunk=2, start=4, stop=6, owner="host-1", epoch=3,
-                      granted_at=100.0, heartbeat_at=105.0, deadline=115.0, ttl=10.0)
+                      granted_at=100.0, deadline=115.0, ttl=10.0)
         lease.write(tmp_path)
         assert Lease.read(lease.path(tmp_path)) == lease
 
     def test_expiry_honours_skew_slack(self):
         lease = Lease(chunk=0, start=0, stop=2, owner="w", epoch=0,
-                      granted_at=0.0, heartbeat_at=0.0, deadline=10.0, ttl=10.0)
+                      granted_at=0.0, deadline=10.0, ttl=10.0)
         assert not lease.expired(now=10.5, skew_slack=2.0)
         assert not lease.expired(now=12.0, skew_slack=2.0)
         assert lease.expired(now=12.1, skew_slack=2.0)
 
-    def test_renewed_extends_deadline(self):
-        lease = Lease(chunk=0, start=0, stop=2, owner="w", epoch=0,
-                      granted_at=0.0, heartbeat_at=0.0, deadline=10.0, ttl=10.0)
-        renewed = lease.renewed(now=8.0)
-        assert renewed.heartbeat_at == 8.0
-        assert renewed.deadline == 18.0
-        assert renewed.epoch == lease.epoch
-
     def test_reissued_bumps_epoch_and_owner(self):
         lease = Lease(chunk=0, start=0, stop=2, owner="w", epoch=1,
-                      granted_at=0.0, heartbeat_at=0.0, deadline=10.0, ttl=10.0)
+                      granted_at=0.0, deadline=10.0, ttl=10.0)
         taken = lease.reissued("taker", now=20.0, ttl=5.0)
         assert taken.owner == "taker"
         assert taken.epoch == 2
@@ -695,7 +681,7 @@ class TestHealLiveLeases:
         leases_dir.mkdir(parents=True)
         now = time_module.time()
         live = Lease(chunk=2, start=4, stop=6, owner="far-machine", epoch=0,
-                     granted_at=now, heartbeat_at=now, deadline=now + 60.0, ttl=60.0)
+                     granted_at=now, deadline=now + 60.0, ttl=60.0)
         live.write(leases_dir)
         report = heal_campaign(spec, tmp_path, chunk_size=2)
         assert report.live_leases == [2]
@@ -705,7 +691,7 @@ class TestHealLiveLeases:
         # Once the lease has expired (well past deadline + slack), heal
         # reclaims the chunk.
         dead = Lease(chunk=2, start=4, stop=6, owner="far-machine", epoch=0,
-                     granted_at=now - 120, heartbeat_at=now - 120,
+                     granted_at=now - 120,
                      deadline=now - 60.0, ttl=60.0)
         dead.write(leases_dir)
         report = heal_campaign(spec, tmp_path, chunk_size=2)

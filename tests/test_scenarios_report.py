@@ -164,11 +164,11 @@ class TestTornAndPartialInputs:
         now = time.time()
         Lease(
             chunk=0, start=0, stop=2, owner="w0", epoch=0,
-            granted_at=now, heartbeat_at=now, deadline=now + 60.0, ttl=60.0,
+            granted_at=now, deadline=now + 60.0, ttl=60.0,
         ).write(leases_dir)
         Lease(
             chunk=1, start=2, stop=4, owner="w1", epoch=1,
-            granted_at=now - 120.0, heartbeat_at=now - 90.0,
+            granted_at=now - 120.0,
             deadline=now - 60.0, ttl=5.0,
         ).write(leases_dir)
         report = analyze_campaign(campaign_dir, now=now)

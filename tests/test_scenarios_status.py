@@ -93,11 +93,11 @@ class TestCollectStatus:
         now = time.time()
         live = Lease(
             chunk=0, start=0, stop=2, owner="w0", epoch=0,
-            granted_at=now, heartbeat_at=now, deadline=now + 60.0, ttl=60.0,
+            granted_at=now, deadline=now + 60.0, ttl=60.0,
         )
         stale = Lease(
             chunk=1, start=2, stop=4, owner="w1", epoch=2,
-            granted_at=now - 120.0, heartbeat_at=now - 90.0,
+            granted_at=now - 120.0,
             deadline=now - 60.0, ttl=5.0,
         )
         live.write(leases_dir)
@@ -108,7 +108,24 @@ class TestCollectStatus:
         assert by_chunk[1].expired
         assert by_chunk[1].owner == "w1"
         assert by_chunk[1].epoch == 2
-        assert by_chunk[1].heartbeat_age >= 90.0
+        assert by_chunk[1].held_for >= 120.0
+
+    def test_render_shows_how_long_each_lease_is_held(self, tmp_path):
+        campaign_dir = tmp_path / "campaign"
+        leases_dir = campaign_dir / "leases"
+        leases_dir.mkdir(parents=True)
+        now = time.time()
+        Lease(
+            chunk=0, start=0, stop=2, owner="w0", epoch=0,
+            granted_at=now - 30.0, deadline=now + 30.0, ttl=60.0,
+        ).write(leases_dir)
+        Lease(
+            chunk=1, start=2, stop=4, owner="w1", epoch=2,
+            granted_at=now - 120.0, deadline=now - 60.0, ttl=60.0,
+        ).write(leases_dir)
+        text = render_status(collect_status(campaign_dir, now=now))
+        assert "chunk 0: owner w0, epoch 0, held 30" in text
+        assert "chunk 1: owner w1, epoch 2, EXPIRED" in text
 
     def test_torn_telemetry_lines_counted_not_fatal(self, tmp_path):
         spec = small_spec()
