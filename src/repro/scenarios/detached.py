@@ -1019,8 +1019,9 @@ def run_detached_campaign(
                 for owner, code in local.failed():
                     # A dead local worker's leases are surrendered at once
                     # instead of waiting out their TTL and skew slack —
-                    # except a chunk it made durable after the merge above
-                    # (a crash after the append): its restart re-blesses it.
+                    # except on a chunk it made durable after the merge
+                    # above (a crash after the append): the next merge
+                    # takes those bytes, fencing them would waste them.
                     logger.warning("local worker died; restarting it", owner=owner, exit=code)
                     fences = read_fences(state)
                     durable = _observed_chunks(state, fences)
