@@ -15,7 +15,7 @@ bench:
 ## benchmarks, the scenario/batch kernel benchmarks and the two-port
 ## scenario campaign (the one_port:false evaluation chain) at a reduced
 ## platform count.  The raw record goes to BENCH_campaign.json (overwritten,
-## as before); a compact per-run summary (git sha, wall-clocks incl. the
+## untracked: CI uploads it as an artifact); a compact per-run summary (git sha, wall-clocks incl. the
 ## two-port campaign, the query service's cold/cached p50 latency,
 ## speedup vs the PR-1 reference, and the telemetry subsystem's measured
 ## overhead_pct) is APPENDED to

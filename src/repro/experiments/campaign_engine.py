@@ -1,43 +1,33 @@
-"""Campaign engine for the random-platform figures (10-13).
+"""Array-level evaluation layers of the random-platform campaigns.
 
-The random-platform campaigns of Figures 10-13 share one shape: for every
-matrix size and every random platform, evaluate a set of heuristics with the
-scenario LP, measure each schedule on the noisy simulated cluster, normalise
-by the reference heuristic's LP prediction, and average over the platforms.
-This module turns that shape into chunk workers for the generic
-:mod:`repro.experiments.sweep_engine`:
+Every campaign cell — one platform's cost vectors at one grid point —
+goes through the same steps: evaluate a set of heuristics with the
+scenario LP, measure each schedule on the noisy simulated cluster, and
+normalise by the reference heuristic's LP prediction.  This module holds
+those steps as array layers; :mod:`repro.scenarios.runner` drives them
+for every campaign, the paper's Figures 10-13 included:
 
-* the unit of work is one *platform* across every matrix size, and chunking,
-  process parallelism (``jobs=``) and order-preserving reassembly are the
-  sweep engine's;
-* a platform's factor-set work — LP evaluations keyed by ``(comm, comp,
-  size)`` — is computed once per chunk and reused; on the homogeneous
-  campaign of Figure 10 all 50 platforms share one factor set, so each size
-  costs one LP evaluation instead of 50;
-* all LP evaluations a chunk needs are stacked into **one batched
-  scenario-kernel call** (:func:`repro.core.heuristics.
-  compare_heuristics_batch`) instead of thousands of scalar solves;
-* cost tables come from :mod:`repro.workloads.sampling` and the heuristic
-  order rules / closed-form LIFO chain from :mod:`repro.core.order_rules`
-  — the array-native layers shared with the scenario subsystem
-  (:mod:`repro.scenarios.runner` re-uses :func:`prepare_cells` /
-  :func:`replay_grouped` / :func:`replay_two_port` in turn);
-* determinism is preserved regardless of ``jobs``: the per-platform noise
-  seed is derived from ``(seed, platform_index, size)`` exactly as in the
-  serial implementation, and per-platform ratios are re-assembled in
-  platform order before averaging, so every ``jobs`` setting produces the
-  same series to the last bit.
+* :func:`prepare_cells` stacks all LP evaluations of a batch of cost
+  tables into **one batched scenario-kernel call** per worker count and
+  builds the rounded measurement layouts straight from the kernel's load
+  vectors — no platform or schedule objects;
+* the heuristic order rules and the closed-form LIFO chain come from
+  :mod:`repro.core.order_rules`, the cost tables from
+  :mod:`repro.workloads.sampling`;
+* :func:`replay_grouped` replays the one-port measurements vectorised
+  across a whole chunk, :func:`replay_two_port` runs the merge-ordered
+  two-port replay per run;
+* :func:`noise_seed` is the one per-(platform, size) noise-seed formula.
 
-Measurement still goes through the public
-:func:`repro.simulation.executor.measure_heuristic` API, so any speedup in
-the simulation replay benefits every figure.
+Everything is pinned bit-for-bit by the test-suite against the public
+:func:`repro.core.heuristics.compare_heuristics` +
+:func:`repro.simulation.executor.measure_heuristic` reference path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,8 +44,6 @@ from repro.core.order_rules import (
 )
 from repro.core.rounding import round_values
 from repro.exceptions import ScheduleError
-from repro.experiments.sweep_engine import resolve_jobs, run_chunked
-from repro.workloads.sampling import base_costs, cost_table
 from repro.simulation.executor import (
     PreparedMeasurement,
     prepare_measurement_arrays,
@@ -63,10 +51,8 @@ from repro.simulation.executor import (
 )
 from repro.simulation.fast_twoport import run_fast_twoport
 from repro.simulation.noise import NoiseModel, perturb_sequence
-from repro.workloads.platforms import PlatformFactors
 
 __all__ = [
-    "CampaignSpec",
     "PreparedCell",
     "PreparedTwoPortRun",
     "TwoPortCell",
@@ -74,40 +60,16 @@ __all__ = [
     "prepare_cells",
     "replay_grouped",
     "replay_two_port",
-    "run_campaign_ratios",
-    "resolve_jobs",
 ]
 
 
 def noise_seed(seed: int, platform_index: int, size: int) -> int:
     """The per-(platform, size) noise seed of every campaign.
 
-    One formula, shared by the figure campaigns and the scenario runner:
-    the scenario subsystem's "seeded exactly like the figure campaigns"
-    guarantee rests on both calling this helper.
+    One formula for every seeded campaign: the runner's chunks and the
+    scalar reference path the tests pin them against both call it.
     """
     return seed * 100_003 + platform_index * 1_009 + int(size)
-
-
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Everything a worker process needs to evaluate one platform.
-
-    The spec must stay picklable: it crosses the process boundary once per
-    chunk.  ``noise_factory`` therefore has to be a module-level callable
-    (the default :func:`repro.experiments.common.default_noise` is).
-    """
-
-    heuristic_names: tuple[str, ...]
-    matrix_sizes: tuple[int, ...]
-    total_tasks: int
-    seed: int
-    reference: str
-    noise_factory: Callable[[int], NoiseModel]
-
-    def noise_seed(self, platform_index: int, size: int) -> int:
-        """The serial implementation's per-(platform, size) noise seed."""
-        return noise_seed(self.seed, platform_index, size)
 
 
 @dataclass(frozen=True)
@@ -133,8 +95,8 @@ class PreparedCell:
     def measure(self, noise: NoiseModel) -> list[float]:
         """Measured makespans of every heuristic, one batched draw.
 
-        Scalar reference path (the chunk runner batches the replays
-        instead); kept for tests and small callers.
+        Scalar reference path (the runner batches the replays with
+        :func:`replay_grouped` instead); kept for tests and small callers.
         """
         perturbed = perturb_sequence(noise, self.durations, self.kinds, self.workers)
         return [
@@ -370,9 +332,9 @@ def prepare_cells(
     """Prepare a batch of ``(key, c, w, d)`` cost tables for evaluation.
 
     Each table is one scenario cell: a platform's cost vectors at one grid
-    point of whatever workload produced them — a matrix size here and in
-    the figure campaigns, a bus ``w/c`` ratio when the scenario runner
-    feeds a bus-workload space through this same entry point.  Every LP
+    point of whatever workload produced them — a matrix size for the
+    matrix workload (Figures 10-13), a bus ``w/c`` ratio for a
+    bus-workload space.  Every LP
     the batch needs — one per (table, LP-backed
     heuristic) pair — is stacked into one batched kernel call per worker
     count; throughputs and prepared replays are assembled straight from
@@ -556,100 +518,3 @@ def _prepare_two_port_cells(
             prepared=prepared,
         )
     return cells
-
-
-def _prepare_chunk(
-    spec: CampaignSpec,
-    chunk: Sequence[tuple[int, PlatformFactors]],
-) -> dict[tuple, PreparedCell]:
-    """Prepare every distinct (factor set, size) pair of a chunk.
-
-    The cache key is the factor vectors themselves, not the platform label:
-    campaigns that repeat a factor set (every homogeneous platform) reuse
-    the preparation instead of re-solving and re-rounding.  Cost tables
-    come from :func:`repro.workloads.sampling.cost_table` (the same
-    divisions the workload's ``worker()`` constructor performs); the
-    heavy lifting is :func:`prepare_cells`.
-    """
-    keyed_tables: list[tuple[tuple, np.ndarray, np.ndarray, np.ndarray]] = []
-    seen: set[tuple] = set()
-    for _, factors in chunk:
-        for size in spec.matrix_sizes:
-            key = (factors.comm, factors.comp, size)
-            if key in seen:
-                continue
-            seen.add(key)
-            c, w, d = cost_table(
-                base_costs(int(size)), np.array(factors.comm), np.array(factors.comp)
-            )
-            keyed_tables.append((key, c, w, d))
-    return prepare_cells(spec.heuristic_names, spec.reference, spec.total_tasks, keyed_tables)
-
-
-def _run_chunk(
-    spec: CampaignSpec,
-    chunk: Sequence[tuple[int, PlatformFactors]],
-) -> list[tuple[int, dict[tuple[str, int], float]]]:
-    """Evaluate a chunk of platforms across every matrix size.
-
-    Returns, per platform index, a mapping ``(series, size) -> ratio`` with
-    the same series labels the serial implementation accumulated
-    (``"<H> lp"`` and ``"<H> real"``).
-    """
-    cells = _prepare_chunk(spec, chunk)
-    labels = {
-        name: (f"{name} lp", f"{name} real") for name in spec.heuristic_names
-    }
-
-    # Draw phase: one batched perturbation per (platform, size) cell, in
-    # the serial order — the noise streams are identical to measuring each
-    # heuristic in sequence.
-    occurrences: list[tuple[int, int, PreparedCell, np.ndarray]] = []
-    for platform_index, factors in chunk:
-        for size in spec.matrix_sizes:
-            cell = cells[(factors.comm, factors.comp, size)]
-            noise = spec.noise_factory(spec.noise_seed(platform_index, size))
-            perturbed = perturb_sequence(noise, cell.durations, cell.kinds, cell.workers)
-            occurrences.append((platform_index, size, cell, perturbed))
-
-    # Replay phase: every run of the chunk, vectorised per worker count.
-    makespans = replay_grouped(occurrences, len(spec.heuristic_names))
-
-    results: list[tuple[int, dict[tuple[str, int], float]]] = []
-    ratios: dict[tuple[str, int], float] = {}
-    current_index: int | None = None
-    for occurrence, (platform_index, size, cell, _) in enumerate(occurrences):
-        if platform_index != current_index:
-            if current_index is not None:
-                results.append((current_index, ratios))
-            ratios = {}
-            current_index = platform_index
-        for slot, (name, lp_ratio) in enumerate(cell.lp_ratios):
-            lp_label, real_label = labels[name]
-            ratios[(lp_label, size)] = lp_ratio
-            ratios[(real_label, size)] = makespans[occurrence, slot] / cell.reference_time
-    if current_index is not None:
-        results.append((current_index, ratios))
-    return results
-
-
-def run_campaign_ratios(
-    spec: CampaignSpec,
-    factor_sets: Sequence[PlatformFactors],
-    jobs: int | None = 1,
-) -> dict[tuple[str, int], np.ndarray]:
-    """Run the campaign and return per-series ratio vectors.
-
-    The result maps ``(series, size)`` to the vector of per-platform ratios
-    *in platform order* — the caller averages and labels them.  Chunking,
-    the ``jobs=`` process pool and the order-preserving merge are
-    :func:`repro.experiments.sweep_engine.run_chunked`'s.
-    """
-    per_platform = run_chunked(partial(_run_chunk, spec), factor_sets, jobs=jobs)
-
-    collected: dict[tuple[str, int], np.ndarray] = {}
-    if not per_platform:
-        return collected
-    for key in per_platform[0]:
-        collected[key] = np.array([ratios[key] for ratios in per_platform])
-    return collected

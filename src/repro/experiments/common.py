@@ -3,27 +3,24 @@
 Every figure of the paper's evaluation is reproduced by one module in this
 package; they all return a :class:`FigureResult` — a set of named series over
 a common x-axis — so that reporting, benchmarking and the CLI can treat every
-experiment uniformly.  The heavy lifting shared by Figures 10–13 (random
-platform campaigns comparing the INC_C / INC_W / LIFO heuristics, normalised
-by the INC_C LP prediction) lives in :func:`heuristic_campaign`.
+experiment uniformly.  Figures 10–13 (random platform campaigns comparing
+the INC_C / INC_W / LIFO heuristics, normalised by the INC_C LP prediction)
+are named scenario spaces, run by
+:func:`repro.scenarios.runner.figure_campaign`; their noise models live
+here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
 
 from repro.exceptions import ExperimentError
-from repro.experiments.campaign_engine import CampaignSpec, run_campaign_ratios
-from repro.simulation.noise import ComposedNoise, NoiseModel, UniformJitter
-from repro.workloads.platforms import campaign_factors
+from repro.simulation.noise import AffineOverhead, ComposedNoise, NoiseModel, UniformJitter
 
 __all__ = [
     "FigureResult",
     "default_noise",
-    "heuristic_campaign",
+    "overhead_noise",
     "DEFAULT_MATRIX_SIZES",
     "DEFAULT_PLATFORM_COUNT",
     "DEFAULT_TOTAL_TASKS",
@@ -157,95 +154,15 @@ def default_noise(seed: int) -> NoiseModel:
     )
 
 
-def heuristic_campaign(
-    figure: str,
-    title: str,
-    campaign_kind: str,
-    heuristic_names: Sequence[str] = ("INC_C", "INC_W", "LIFO"),
-    matrix_sizes: Sequence[int] = DEFAULT_MATRIX_SIZES,
-    platform_count: int = DEFAULT_PLATFORM_COUNT,
-    workers: int = 11,
-    total_tasks: int = DEFAULT_TOTAL_TASKS,
-    comm_scale: float = 1.0,
-    comp_scale: float = 1.0,
-    seed: int = 0,
-    noise_factory=default_noise,
-    reference: str = "INC_C",
-    jobs: int | None = 1,
-) -> FigureResult:
-    """Run one of the paper's random-platform campaigns (Figures 10–13).
+def overhead_noise(seed: int) -> NoiseModel:
+    """Noise for the communication-x10 variant: jitter plus per-message latency.
 
-    For every matrix size and every random platform, each heuristic is
-    evaluated twice: its LP-predicted completion time for ``total_tasks``
-    matrix products, and the completion time measured on the (noisy)
-    simulated cluster after integer rounding.  Both are normalised by the LP
-    prediction of the ``reference`` heuristic (INC_C), then averaged over the
-    platforms — exactly the quantity plotted in the paper.
-
-    The heavy lifting is delegated to
-    :mod:`repro.experiments.campaign_engine`: platforms are evaluated in
-    chunks with per-factor-set caching and, when ``jobs`` is not 1, on a
-    process pool (``jobs=None`` uses every CPU).  The produced series are
-    bit-identical for every ``jobs`` setting — per-platform noise seeding
-    depends only on ``(seed, platform index, size)`` and the per-platform
-    ratios are re-assembled in platform order before averaging.
-
-    One caveat on comparing against *pre-fast-kernel* runs: scenario LPs on
-    degenerate platforms (notably the homogeneous campaign) have multiple
-    optimal vertices, and the default fast kernel deterministically picks
-    the exact-simplex vertex where HiGHS could return any of them.  The
-    ``lp`` ratio series are unaffected (equal throughput), but the
-    simulated ``real`` series can shift by ~1% because a different —
-    equally optimal — participant set is executed.
-
-    Returned series (for the default heuristics): ``"INC_C lp"`` (the
-    normalisation baseline, identically 1), ``"<H> lp/INC_C lp"`` and
-    ``"<H> real/INC_C lp"`` for every heuristic ``<H>``.
+    When links are ten times faster, each transfer is short enough for fixed
+    per-message overheads (MPI envelope, synchronisation) to matter, so the
+    measured times drift away from the linear-model prediction — the effect
+    Figure 13b attributes to "the limits of the linear cost model".  (The
+    paper's measured drift grows with the matrix size; a fixed per-message
+    overhead instead penalises the smallest matrices most.  EXPERIMENTS.md
+    discusses the difference.)
     """
-    if reference not in heuristic_names:
-        raise ExperimentError(f"the reference heuristic {reference!r} must be evaluated")
-    if platform_count <= 0 or total_tasks <= 0:
-        raise ExperimentError("platform_count and total_tasks must be positive")
-
-    result = FigureResult(
-        figure=figure,
-        title=title,
-        x_label="matrix size",
-        parameters={
-            "campaign": campaign_kind,
-            "heuristics": list(heuristic_names),
-            "platform_count": platform_count,
-            "workers": workers,
-            "total_tasks": total_tasks,
-            "comm_scale": comm_scale,
-            "comp_scale": comp_scale,
-            "seed": seed,
-            "matrix_sizes": list(matrix_sizes),
-        },
-    )
-
-    factor_sets = campaign_factors(campaign_kind, platform_count, size=workers, seed=seed)
-    if comm_scale != 1.0 or comp_scale != 1.0:
-        factor_sets = [factors.scaled(comm=comm_scale, comp=comp_scale) for factors in factor_sets]
-
-    spec = CampaignSpec(
-        heuristic_names=tuple(heuristic_names),
-        matrix_sizes=tuple(int(size) for size in matrix_sizes),
-        total_tasks=total_tasks,
-        seed=seed,
-        reference=reference,
-        noise_factory=noise_factory,
-    )
-    ratios = run_campaign_ratios(spec, factor_sets, jobs=jobs)
-
-    for size in spec.matrix_sizes:
-        for name in heuristic_names:
-            lp_label = f"{name} lp" if name == reference else f"{name} lp/{reference} lp"
-            real_label = f"{name} real/{reference} lp"
-            result.add_point(lp_label, size, float(np.mean(ratios[(f"{name} lp", size)])))
-            result.add_point(real_label, size, float(np.mean(ratios[(f"{name} real", size)])))
-    result.notes.append(
-        "every curve is normalised by the LP prediction of the reference heuristic "
-        f"({reference}) and averaged over {platform_count} random platforms"
-    )
-    return result
+    return ComposedNoise(default_noise(seed), AffineOverhead(comm_latency=1.0e-3))

@@ -16,7 +16,6 @@ from repro.experiments.common import (
     DEFAULT_PLATFORM_COUNT,
     DEFAULT_TOTAL_TASKS,
     FigureResult,
-    heuristic_campaign,
 )
 
 __all__ = ["run"]
@@ -30,12 +29,13 @@ def run(
     seed: int = 10,
     jobs: int | None = 1,
 ) -> FigureResult:
-    """Reproduce Figure 10 (homogeneous random platforms)."""
-    result = heuristic_campaign(
-        figure="fig10",
+    """Reproduce Figure 10 (homogeneous random platforms): the ``fig10`` space."""
+    from repro.scenarios.runner import figure_campaign
+
+    result = figure_campaign(
+        "fig10",
         title="Average execution times on homogeneous random platforms, normalised by the INC_C LP prediction",
-        campaign_kind="homogeneous",
-        heuristic_names=("INC_C", "LIFO"),
+        campaign="homogeneous",
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,

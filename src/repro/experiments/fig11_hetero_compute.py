@@ -16,7 +16,6 @@ from repro.experiments.common import (
     DEFAULT_PLATFORM_COUNT,
     DEFAULT_TOTAL_TASKS,
     FigureResult,
-    heuristic_campaign,
 )
 
 __all__ = ["run"]
@@ -30,12 +29,16 @@ def run(
     seed: int = 11,
     jobs: int | None = 1,
 ) -> FigureResult:
-    """Reproduce Figure 11 (homogeneous communication, heterogeneous computation)."""
-    result = heuristic_campaign(
-        figure="fig11",
+    """Reproduce Figure 11 (homogeneous communication, heterogeneous computation).
+
+    Runs the ``fig11`` scenario space.
+    """
+    from repro.scenarios.runner import figure_campaign
+
+    result = figure_campaign(
+        "fig11",
         title="Average execution times with homogeneous links and heterogeneous CPUs, normalised by the INC_C LP prediction",
-        campaign_kind="hetero-comp",
-        heuristic_names=("INC_C", "INC_W", "LIFO"),
+        campaign="hetero-comp",
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,

@@ -16,7 +16,6 @@ from repro.experiments.common import (
     DEFAULT_PLATFORM_COUNT,
     DEFAULT_TOTAL_TASKS,
     FigureResult,
-    heuristic_campaign,
 )
 
 __all__ = ["run"]
@@ -30,12 +29,13 @@ def run(
     seed: int = 12,
     jobs: int | None = 1,
 ) -> FigureResult:
-    """Reproduce Figure 12 (fully heterogeneous star platforms)."""
-    result = heuristic_campaign(
-        figure="fig12",
+    """Reproduce Figure 12 (fully heterogeneous star platforms): the ``fig12`` space."""
+    from repro.scenarios.runner import figure_campaign
+
+    result = figure_campaign(
+        "fig12",
         title="Average execution times on heterogeneous random platforms, normalised by the INC_C LP prediction",
-        campaign_kind="hetero-star",
-        heuristic_names=("INC_C", "INC_W", "LIFO"),
+        campaign="hetero-star",
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,

@@ -26,26 +26,10 @@ from repro.experiments.common import (
     DEFAULT_PLATFORM_COUNT,
     DEFAULT_TOTAL_TASKS,
     FigureResult,
-    default_noise,
-    heuristic_campaign,
+    overhead_noise,
 )
-from repro.simulation.noise import AffineOverhead, ComposedNoise, NoiseModel
 
 __all__ = ["run", "run_computation_x10", "run_communication_x10", "overhead_noise"]
-
-
-def overhead_noise(seed: int) -> NoiseModel:
-    """Noise for the communication-x10 variant: jitter plus per-message latency.
-
-    When links are ten times faster, each transfer is short enough for fixed
-    per-message overheads (MPI envelope, synchronisation) to matter, so the
-    measured times drift away from the linear-model prediction — the effect
-    Figure 13b attributes to "the limits of the linear cost model".  (The
-    paper's measured drift grows with the matrix size; a fixed per-message
-    overhead instead penalises the smallest matrices most.  EXPERIMENTS.md
-    discusses the difference.)
-    """
-    return ComposedNoise(default_noise(seed), AffineOverhead(comm_latency=1.0e-3))
 
 
 def run_computation_x10(
@@ -56,17 +40,17 @@ def run_computation_x10(
     seed: int = 12,
     jobs: int | None = 1,
 ) -> FigureResult:
-    """Reproduce Figure 13a (every CPU ten times faster)."""
-    result = heuristic_campaign(
-        figure="fig13a",
+    """Reproduce Figure 13a (every CPU ten times faster): the ``fig13a`` space."""
+    from repro.scenarios.runner import figure_campaign
+
+    result = figure_campaign(
+        "fig13a",
         title="Heterogeneous campaign with computation ten times faster, normalised by the INC_C LP prediction",
-        campaign_kind="hetero-star",
-        heuristic_names=("INC_C", "INC_W", "LIFO"),
+        campaign="hetero-star",
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,
         total_tasks=total_tasks,
-        comp_scale=10.0,
         seed=seed,
         jobs=jobs,
     )
@@ -85,19 +69,22 @@ def run_communication_x10(
     seed: int = 12,
     jobs: int | None = 1,
 ) -> FigureResult:
-    """Reproduce Figure 13b (every link ten times faster)."""
-    result = heuristic_campaign(
-        figure="fig13b",
+    """Reproduce Figure 13b (every link ten times faster): the ``fig13b`` space.
+
+    Its measurements use :func:`overhead_noise` (jitter plus a fixed
+    per-message latency).
+    """
+    from repro.scenarios.runner import figure_campaign
+
+    result = figure_campaign(
+        "fig13b",
         title="Heterogeneous campaign with communication ten times faster, normalised by the INC_C LP prediction",
-        campaign_kind="hetero-star",
-        heuristic_names=("INC_C", "INC_W", "LIFO"),
+        campaign="hetero-star",
         matrix_sizes=matrix_sizes,
         platform_count=platform_count,
         workers=workers,
         total_tasks=total_tasks,
-        comm_scale=10.0,
         seed=seed,
-        noise_factory=overhead_noise,
         jobs=jobs,
     )
     result.notes.append(

@@ -1,12 +1,11 @@
 """Workload-agnostic parallel sweep engine.
 
 Every experiment of this repository is, at heart, a sweep: a list of
-independent work items (platforms, (size, platform) grid cells, message
-probes, participation configurations …) whose results are re-assembled in
-item order.  PR 1 built chunking + process parallelism into the Figure
-10-13 campaign engine only; this module extracts the mechanics so that
-*every* entry point — the campaigns, the crossover sweep, fig08, fig09 and
-fig14 — shares one engine:
+independent work items (scenario chunks, (size, platform) grid cells,
+message probes, participation configurations …) whose results are
+re-assembled in item order.  :func:`run_sweep` maps a plain ``fn(item)``
+over the items for every entry point — the scenario runner (and through
+it Figures 10-13), the crossover sweep, fig08, fig09 and fig14:
 
 * items are dealt round-robin into ``jobs`` strided chunks (balancing load
   when later items are costlier, e.g. growing matrix sizes);
@@ -15,18 +14,9 @@ fig14 — shares one engine:
   for one worker per CPU);
 * chunk results are merged back by item index, so the output is
   independent of scheduling order — any ``jobs`` setting produces the same
-  list, element for element.
-
-Two granularities are offered:
-
-* :func:`run_chunked` hands a *whole chunk* of ``(index, item)`` pairs to
-  the worker — the right level when the worker wants to share state across
-  the chunk (per-chunk caches, batched kernel calls: this is what the
-  campaign engine and the crossover sweep do);
-* :func:`run_sweep` maps a plain ``fn(item)`` over the items, with an
-  optional per-chunk memo keyed by ``cache_key(item)`` so repeated items
-  (e.g. the homogeneous campaign's identical platforms) are evaluated
-  once per chunk.
+  list, element for element;
+* an optional per-chunk memo keyed by ``cache_key(item)`` evaluates
+  repeated items once per chunk.
 
 Workers must be picklable when ``jobs > 1`` (module-level callables, or
 ``functools.partial`` over one).
@@ -36,28 +26,15 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Sequence, TypeVar
 
 import repro.obs as obs
 from repro.exceptions import ExperimentError
 
-__all__ = ["SweepTimeoutError", "resolve_jobs", "run_chunked", "run_sweep"]
+__all__ = ["resolve_jobs", "run_sweep"]
 
-
-class SweepTimeoutError(ExperimentError):
-    """A sweep chunk's future did not complete within its timeout.
-
-    Raised by :func:`run_chunked` / :func:`run_sweep` when ``timeout`` is
-    set and a chunk overruns it — the fault-tolerance hook that lets a
-    caller bound how long a hung worker can stall a sweep.  ``pending``
-    counts the chunks still unfinished when the deadline fired.
-    """
-
-    def __init__(self, message: str, pending: int) -> None:
-        super().__init__(message)
-        self.pending = pending
 
 Item = TypeVar("Item")
 Result = TypeVar("Result")
@@ -80,12 +57,11 @@ def resolve_jobs(jobs: int | None) -> int:
     return int(jobs)
 
 
-def run_chunked(
+def _sweep_chunks(
     worker: ChunkWorker,
     items: Sequence[Item],
     jobs: int | None = 1,
     executor: ProcessPoolExecutor | None = None,
-    timeout: float | None = None,
 ) -> list[Result]:
     """Run ``worker`` over strided chunks of ``items``; results in item order.
 
@@ -97,17 +73,6 @@ def run_chunked(
     groups) reuse one long-lived pool instead of paying worker spawn +
     import per call; it is never shut down here, and ``jobs`` still
     controls how many chunks are formed.
-
-    ``timeout`` makes the futures timeout-aware: every dispatched chunk
-    must complete within ``timeout`` seconds of the *last* observed
-    completion (all chunks run concurrently, so this bounds a hung
-    worker, not the sweep's total wall-clock).  On expiry the pending
-    futures are cancelled and :class:`SweepTimeoutError` is raised — note
-    that an already-running chunk cannot be preempted inside a
-    ``ProcessPoolExecutor``; callers that must reclaim the process slot
-    own the pool and shut it down (the campaign fabric manages worker
-    processes directly for exactly this reason).  Only effective with
-    ``jobs > 1``: the inline path cannot interrupt itself.
     """
     indexed = list(enumerate(items))
     if not indexed:
@@ -136,9 +101,9 @@ def run_chunked(
                 initializer=obs.install_in_worker,
                 initargs=(obs.trace_context(telemetry),),
             ) as pool:
-                pairs = _collect_futures(pool, worker, chunks, timeout)
+                pairs = _collect_futures(pool, worker, chunks)
         else:
-            pairs = _collect_futures(executor, worker, chunks, timeout)
+            pairs = _collect_futures(executor, worker, chunks)
 
     pairs.sort(key=lambda pair: pair[0])
     if [index for index, _ in pairs] != list(range(len(indexed))):
@@ -152,13 +117,8 @@ def _collect_futures(
     pool: ProcessPoolExecutor,
     worker: ChunkWorker,
     chunks: Sequence[Sequence[tuple[int, Item]]],
-    timeout: float | None,
 ) -> list[tuple[int, Result]]:
-    """Submit one future per chunk and drain them, optionally bounded.
-
-    With a timeout, each wait is for *any* completion within ``timeout``
-    seconds — a healthy sweep keeps making progress and never trips it; a
-    hung chunk stalls every remaining future and fires it.
+    """Submit one future per chunk and drain them as they complete.
 
     With a telemetry active, every future's submit-to-completion wall
     (dispatch queueing plus worker compute) lands in the
@@ -168,28 +128,13 @@ def _collect_futures(
     telemetry = obs.active()
     submitted = {pool.submit(worker, chunk): len(chunk) for chunk in chunks}
     started = time.perf_counter()
-    futures = set(submitted)
     pairs: list[tuple[int, Result]] = []
-    while futures:
-        done, futures = wait(futures, timeout=timeout, return_when=FIRST_COMPLETED)
-        if not done:
-            for future in futures:
-                future.cancel()
-            if telemetry.enabled:
-                telemetry.counter("sweep.timeouts")
-            raise SweepTimeoutError(
-                f"sweep chunk timed out after {timeout}s with "
-                f"{len(futures)} chunk future(s) unfinished",
-                pending=len(futures),
-            )
+    for future in as_completed(submitted):
         if telemetry.enabled:
-            elapsed = time.perf_counter() - started
-            for future in done:
-                telemetry.observe("sweep.chunk.wall_seconds", elapsed)
-                telemetry.counter("sweep.chunks")
-                telemetry.counter("sweep.items", submitted[future])
-        for future in done:
-            pairs.extend(future.result())
+            telemetry.observe("sweep.chunk.wall_seconds", time.perf_counter() - started)
+            telemetry.counter("sweep.chunks")
+            telemetry.counter("sweep.items", submitted[future])
+        pairs.extend(future.result())
     return pairs
 
 
@@ -219,16 +164,12 @@ def run_sweep(
     jobs: int | None = 1,
     cache_key: Callable[[Item], Hashable] | None = None,
     executor: ProcessPoolExecutor | None = None,
-    timeout: float | None = None,
 ) -> list[Result]:
     """Map ``fn`` over ``items``, chunked and optionally process-parallel.
 
     ``cache_key`` enables a per-chunk memo: items with equal keys are
     evaluated once per chunk and share the result.  Only safe when ``fn``
     is deterministic in the key (the engine does not verify this).
-    ``executor`` and ``timeout`` are passed through to :func:`run_chunked`
-    (pool reuse; timeout-aware futures raising :class:`SweepTimeoutError`).
+    ``executor`` reuses a caller-owned pool (see :func:`_sweep_chunks`).
     """
-    return run_chunked(
-        _MappedChunk(fn, cache_key), items, jobs=jobs, executor=executor, timeout=timeout
-    )
+    return _sweep_chunks(_MappedChunk(fn, cache_key), items, jobs=jobs, executor=executor)

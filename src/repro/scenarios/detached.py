@@ -514,9 +514,15 @@ def _await_campaign(
     stop: threading.Event,
     spec: ScenarioSpec | None,
 ) -> tuple[ScenarioSpec | None, FabricAdvert | None]:
-    """Wait for the coordinator's ``spec.json`` + ``fabric.json`` to appear."""
+    """Wait for the coordinator's ``spec.json`` + ``fabric.json`` to appear.
+
+    Returns ``(None, None)`` at once when the coordinator's journal says
+    the campaign already completed: the coordinator deletes the advert on
+    completion, so a late worker would otherwise wait out ``wait``.
+    """
     deadline = time.monotonic() + wait
     spec_path = campaign_dir / "spec.json"
+    journal = CoordinatorJournal(campaign_dir)
     while True:
         if spec is None and spec_path.is_file():
             try:
@@ -526,6 +532,11 @@ def _await_campaign(
         advert = FabricAdvert.read(campaign_dir)
         if spec is not None and advert is not None:
             return spec, advert
+        if advert is None and journal.replay().completed:
+            logger.info(
+                "campaign already complete; nothing to claim", directory=campaign_dir
+            )
+            return None, None
         if stop.is_set() or time.monotonic() >= deadline:
             logger.warning(
                 "no campaign advert; is the coordinator "

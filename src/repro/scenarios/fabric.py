@@ -540,8 +540,8 @@ class CoordinatorJournal:
     diagnostics, not data.
     """
 
-    def __init__(self, state: CampaignState) -> None:
-        self.path = state.directory / "coordinator.jsonl"
+    def __init__(self, campaign: CampaignState | str | Path) -> None:
+        self.path = _campaign_directory(campaign) / "coordinator.jsonl"
 
     def exists(self) -> bool:
         return self.path.exists()

@@ -10,8 +10,9 @@ pushing each chunk through the array-level campaign machinery:
    batched scenario-kernel call via
    :func:`repro.experiments.campaign_engine.prepare_cells`;
 3. for measured spaces (``spec.noise``), every cell draws one batched
-   noise stream — seeded per (platform index, size) exactly like the
-   figure campaigns — and the replays run chunk-vectorised through
+   noise stream — seeded per (platform index, size) by
+   :func:`~repro.experiments.campaign_engine.noise_seed` — and the
+   replays run chunk-vectorised through
    :func:`~repro.experiments.campaign_engine.replay_grouped`;
 4. every finished chunk is appended to the persistent store
    (:mod:`repro.scenarios.store`) before the next group starts, so an
@@ -48,13 +49,12 @@ from repro.experiments.campaign_engine import (
     replay_grouped,
     replay_two_port,
 )
-from repro.experiments.common import default_noise
+from repro.experiments.common import FigureResult, default_noise, overhead_noise
 from repro.experiments.fig08_linearity import measure_transfer
-from repro.experiments.fig13_ratio import overhead_noise
 from repro.experiments.sweep_engine import resolve_jobs, run_sweep
 from repro.workloads.sampling import cost_table, sample_factors, workload_base_costs
-from repro.scenarios.spec import ScenarioSpec
-from repro.scenarios.store import CampaignState, CampaignStore
+from repro.scenarios.spec import ScenarioSpec, named_space
+from repro.scenarios.store import CampaignState, CampaignStore, aggregate_rows
 from repro.simulation.noise import NoiseModel, perturb_sequence
 from repro.workloads.matrices import MatrixProductWorkload
 
@@ -64,6 +64,7 @@ __all__ = [
     "aggregate_figure",
     "evaluate_chunk",
     "evaluate_range",
+    "figure_campaign",
     "plan_chunks",
     "run_campaign",
     "validate_plan",
@@ -118,7 +119,7 @@ def validate_plan(state: CampaignState, chunks: list[tuple[int, int]]) -> set[in
 def _grid_noise_key(spec: ScenarioSpec, grid_index: int, x) -> int:
     """The "size" term of a cell's noise seed.
 
-    Matrix grids keep the matrix size itself — the figure campaigns'
+    Matrix grids keep the matrix size itself — the paper campaigns'
     formula, which the bit-identity guarantee rests on.  Non-integer grids
     (bus ``w/c`` ratios) use the grid *position* instead: truncating 0.5
     and 1.0 and 1.5 to ints would hand several grid points one shared
@@ -223,12 +224,12 @@ def _evaluate_lp_chunk(
     grid = spec.grid
     is_bus = spec.workload.kind == "bus"
 
-    # Like the figure engine, key the prepared cells on the factor vectors
-    # themselves: families with repeated draws (every constant dimension —
-    # fig10's homogeneous space repeats one factor set 50 times) prepare
-    # each distinct (factor set, grid point) pair once instead of once per
-    # platform.  The emitted rows are unchanged — identical inputs prepare
-    # to identical values.
+    # Key the prepared cells on the factor vectors themselves: families
+    # with repeated draws (every constant dimension — fig10's homogeneous
+    # space repeats one factor set 50 times) prepare each distinct
+    # (factor set, grid point) pair once instead of once per platform.
+    # The emitted rows are unchanged — identical inputs prepare to
+    # identical values.
     factor_keys = [
         (
             comm[offset].tobytes(),
@@ -454,8 +455,6 @@ def aggregate_figure(spec: ScenarioSpec, aggregated: dict):
     remaining series (bus closed forms, probe transfer times) follow
     sorted by name.
     """
-    from repro.experiments.common import FigureResult
-
     result = FigureResult(
         figure=spec.name,
         title=spec.description or f"scenario space {spec.name}",
@@ -477,4 +476,79 @@ def aggregate_figure(spec: ScenarioSpec, aggregated: dict):
     for series in sorted(set(aggregated) - emitted):
         for size, cell in aggregated[series].items():
             result.add_point(series, size, cell["mean"])
+    return result
+
+
+def _evaluate_bounds(spec: ScenarioSpec, bounds: tuple[int, int]) -> list[dict]:
+    """:func:`evaluate_range` over one ``(start, stop)`` plan entry."""
+    return evaluate_range(spec, *bounds)
+
+
+def figure_campaign(
+    space: str,
+    title: str,
+    campaign: str,
+    jobs: int | None = 1,
+    **overrides,
+) -> FigureResult:
+    """Run one of the paper's campaign spaces in memory (Figures 10–13).
+
+    ``overrides`` are the figure drivers' arguments, applied to the named
+    space with :meth:`ScenarioSpec.derive` (``platform_count`` is the
+    family's ``count``), so the spec's validation rejects what cannot run:
+    no platforms, no tasks, a reference heuristic that is not evaluated.
+    The platforms are split into ``jobs`` contiguous chunks, evaluated by
+    :func:`evaluate_range` — no store — on up to ``jobs`` processes, and
+    averaged per (series, size) with :func:`aggregate_rows`.  Rows are pure
+    in the spec, so every ``jobs`` setting gives the same floats.
+
+    The result is named after the space (``fig10`` … ``fig13b``);
+    ``campaign`` only labels it (the paper's campaign kind,
+    ``"homogeneous"``, ``"hetero-comp"`` or ``"hetero-star"``).  The series
+    are ``"INC_C lp"`` (the normalisation baseline, identically 1) and
+    ``"<H> lp/INC_C lp"`` / ``"<H> real/INC_C lp"`` for every other
+    heuristic ``<H>``: each LP prediction and noisy measurement divided by
+    the reference heuristic's LP prediction, averaged over the platforms.
+    """
+    if "platform_count" in overrides:
+        overrides["count"] = overrides.pop("platform_count")
+    spec = named_space(space).derive(**overrides)
+    family = spec.family
+    # One chunk per job: at jobs=1 every platform shares one batch, so
+    # repeated factor sets (fig10's homogeneous draws) are prepared once.
+    chunk_size = -(-family.count // min(resolve_jobs(jobs), family.count))
+    chunks = run_sweep(
+        partial(_evaluate_bounds, spec), plan_chunks(family.count, chunk_size), jobs=jobs
+    )
+    # The figures plot means only; no quantiles to compute.
+    aggregated = aggregate_rows((row for rows in chunks for row in rows), quantiles=())
+
+    reference = spec.reference
+    result = FigureResult(
+        figure=space,
+        title=title,
+        x_label=_X_LABELS["matrix"],
+        parameters={
+            "campaign": campaign,
+            "heuristics": list(spec.heuristics),
+            "platform_count": family.count,
+            "workers": family.workers,
+            "total_tasks": spec.total_tasks,
+            "comm_scale": family.comm_scale,
+            "comp_scale": family.comp_scale,
+            "seed": family.seed,
+            "matrix_sizes": list(spec.matrix_sizes),
+        },
+    )
+    for size in spec.matrix_sizes:
+        for name in spec.heuristics:
+            lp_label = f"{name} lp" if name == reference else f"{name} lp/{reference} lp"
+            result.add_point(lp_label, size, aggregated[f"{name} lp"][size]["mean"])
+            result.add_point(
+                f"{name} real/{reference} lp", size, aggregated[f"{name} real"][size]["mean"]
+            )
+    result.notes.append(
+        "every curve is normalised by the LP prediction of the reference heuristic "
+        f"({reference}) and averaged over {family.count} random platforms"
+    )
     return result

@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.exceptions import ExperimentError
-from repro.experiments import fig08_linearity, fig09_trace, fig13_ratio, fig14_participation
-from repro.experiments.common import FigureResult, default_noise, heuristic_campaign
+from repro.experiments import (
+    fig08_linearity,
+    fig09_trace,
+    fig10_homogeneous,
+    fig11_hetero_compute,
+    fig12_hetero_star,
+    fig13_ratio,
+    fig14_participation,
+)
+from repro.experiments.common import FigureResult, default_noise
 from repro.experiments.registry import EXPERIMENTS, available_experiments, run_experiment
 from repro.experiments.report import render_report, to_csv, to_markdown
 
@@ -44,15 +55,10 @@ class TestFigureResult:
 
 
 class TestCampaignEngine:
+    """The Figure 10-13 drivers, run through the scenario runner."""
+
     def test_campaign_produces_expected_series(self):
-        result = heuristic_campaign(
-            figure="test",
-            title="campaign",
-            campaign_kind="hetero-star",
-            heuristic_names=("INC_C", "INC_W", "LIFO"),
-            seed=5,
-            **_TINY,
-        )
+        result = fig12_hetero_star.run(seed=5, **_TINY)
         assert "INC_C lp" in result.series
         assert "INC_C real/INC_C lp" in result.series
         assert "INC_W lp/INC_C lp" in result.series
@@ -65,48 +71,73 @@ class TestCampaignEngine:
 
     def test_inc_w_never_beats_inc_c_in_lp(self):
         """Theorem 1's ordering result, observed through the campaign engine."""
-        result = heuristic_campaign(
-            figure="test",
-            title="campaign",
-            campaign_kind="hetero-star",
-            heuristic_names=("INC_C", "INC_W"),
-            seed=6,
-            **_TINY,
-        )
+        result = fig12_hetero_star.run(seed=6, **_TINY)
         for x in result.x_values:
             assert result.value("INC_W lp/INC_C lp", x) >= 1.0 - 1e-9
 
     def test_measured_times_exceed_lp_predictions(self):
-        result = heuristic_campaign(
-            figure="test",
-            title="campaign",
-            campaign_kind="homogeneous",
-            heuristic_names=("INC_C",),
-            seed=7,
-            **_TINY,
-        )
+        result = fig10_homogeneous.run(seed=7, **_TINY)
         for x in result.x_values:
             assert result.value("INC_C real/INC_C lp", x) >= 1.0 - 1e-6
 
     def test_requires_reference_heuristic(self):
+        from repro.scenarios.runner import figure_campaign
+
         with pytest.raises(ExperimentError):
-            heuristic_campaign(
-                figure="f",
+            figure_campaign(
+                "fig10",
                 title="t",
-                campaign_kind="homogeneous",
-                heuristic_names=("LIFO",),
-                reference="INC_C",
+                campaign="homogeneous",
+                heuristics=("LIFO",),
                 **_TINY,
             )
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ExperimentError):
-            heuristic_campaign(
-                figure="f",
-                title="t",
-                campaign_kind="homogeneous",
-                platform_count=0,
-            )
+            fig10_homogeneous.run(platform_count=0)
+        with pytest.raises(ExperimentError):
+            fig11_hetero_compute.run(**{**_TINY, "total_tasks": 0})
+
+    def test_jobs_do_not_change_series(self, monkeypatch):
+        """Two processes over two chunks give the one-process floats."""
+        from repro.scenarios import runner
+
+        chunk_counts = []
+        real_sweep = runner.run_sweep
+
+        def counting_sweep(fn, items, jobs=1, **kwargs):
+            chunk_counts.append(len(items))
+            return real_sweep(fn, items, jobs=jobs, **kwargs)
+
+        monkeypatch.setattr(runner, "run_sweep", counting_sweep)
+        tiny = {**_TINY, "platform_count": 4}
+        serial = fig13_ratio.run_communication_x10(jobs=1, **tiny)
+        parallel = fig13_ratio.run_communication_x10(jobs=2, **tiny)
+        assert chunk_counts == [1, 2]
+        assert parallel.as_dict() == serial.as_dict()
+
+
+class TestFigureGolden:
+    """Figures 10-13 at the quick preset, pinned to the recorded floats.
+
+    ``golden_figures_quick.json`` holds every ``FigureResult.as_dict()``
+    the quick preset produced before the figures moved onto the scenario
+    runner; JSON floats round-trip exactly, so equality here is
+    bit-identity (series order included).
+    """
+
+    GOLDEN = json.loads(
+        (Path(__file__).with_name("golden_figures_quick.json")).read_text(encoding="utf-8")
+    )
+
+    @pytest.mark.parametrize("figure", ("fig10", "fig11", "fig12", "fig13"))
+    def test_quick_preset_matches_golden(self, figure):
+        results = run_experiment(figure, preset="quick")
+        produced = json.loads(json.dumps([result.as_dict() for result in results]))
+        assert produced == self.GOLDEN[figure]
+        for result, golden in zip(produced, self.GOLDEN[figure]):
+            assert list(result["series"]) == list(golden["series"])
+            assert list(result["parameters"]) == list(golden["parameters"])
 
 
 class TestFig08:

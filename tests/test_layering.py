@@ -1,11 +1,13 @@
 """Import-hierarchy tests: the layering below ``repro.scenarios`` is strict.
 
 The workload generators and the campaign engine consume the vectorised
-sampler and the order-rule mirrors from their new homes
+sampler and the order-rule mirrors from their homes
 (:mod:`repro.workloads.sampling`, :mod:`repro.core.order_rules`); nothing
-below the scenario subsystem may import from ``repro.scenarios``.  The
-check runs in a subprocess so this test cannot be fooled by modules some
-earlier test already imported.
+below the scenario subsystem may import from ``repro.scenarios`` at module
+level.  The Figures 10-13 drivers are scenario clients: they import the
+runner inside ``run()``, so importing them (or the registry, or the CLI)
+still loads no scenario module.  The checks run in subprocesses so they
+cannot be fooled by modules some earlier test already imported.
 """
 
 from __future__ import annotations
@@ -22,12 +24,31 @@ def test_lower_layers_do_not_import_scenarios():
         "import repro.core.batch_twoport\n"
         "import repro.obs\n"
         "import repro.workloads.sampling\n"
+        "import repro.experiments\n"
         "import repro.experiments.campaign_engine\n"
+        "import repro.experiments.common\n"
+        "import repro.experiments.sweep_engine\n"
+        "import repro.experiments.fig08_linearity\n"
+        "import repro.experiments.fig09_trace\n"
+        "import repro.experiments.fig14_participation\n"
+        "import repro.experiments.crossover\n"
+        "import repro.experiments.registry\n"
         "from repro.workloads.platforms import campaign_factors\n"
         "factors = campaign_factors('hetero-star', 2, size=3, seed=0)\n"
         "assert len(factors) == 2\n"
         "polluted = sorted(m for m in sys.modules if m.startswith('repro.scenarios'))\n"
         "assert not polluted, f'lower layers pulled in {polluted}'\n"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True)
+
+
+def test_cli_import_loads_no_scenario_module():
+    """Every CLI start (``scenarios serve`` included) skips the scenario layer."""
+    probe = (
+        "import sys\n"
+        "import repro.cli\n"
+        "polluted = sorted(m for m in sys.modules if m.startswith('repro.scenarios'))\n"
+        "assert not polluted, f'import repro.cli pulled in {polluted}'\n"
     )
     subprocess.run([sys.executable, "-c", probe], check=True)
 

@@ -420,6 +420,27 @@ class TestDetachedCampaign:
         assert not (campaign_dir / "fabric.json").exists()
         assert (campaign_dir / "coordinator.jsonl").exists()
 
+    def test_late_worker_returns_at_once_after_completion(self, tmp_path, reference):
+        """A worker started after completion does not wait out ``wait``.
+
+        The coordinator deletes the advert on completion; the journal's
+        ``complete`` event is what tells a late worker there is nothing
+        left to claim.
+        """
+        spec, expected = reference
+        store = CampaignStore(tmp_path / "shared")
+        progress = run_detached_campaign(
+            spec, store, chunk_size=2, policy=fast_policy(), wait_timeout=90.0, workers=1
+        )
+        assert progress.finished
+        campaign_dir = tmp_path / "shared" / spec_hash(spec)
+        started = time.monotonic()
+        report = work_loop(campaign_dir, owner="late", poll=0.05, wait=30.0)
+        assert time.monotonic() - started < 2.0
+        assert report.completed == []
+        assert not (campaign_dir / "workers").exists()
+        assert store_bytes(tmp_path / "shared", spec) == expected
+
     @pytest.mark.parametrize(
         "faults0,faults1",
         [

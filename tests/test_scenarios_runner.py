@@ -3,7 +3,8 @@
 The two load-bearing guarantees:
 
 * **campaign parity** — a sampler-fed campaign persists, per platform,
-  exactly the ratios the figure campaigns (object path) compute;
+  exactly the ratios the scalar reference path (``compare_heuristics`` +
+  ``measure_heuristic`` on ``StarPlatform`` objects) computes;
 * **resume semantics** — a campaign killed mid-run and resumed produces a
   store bit-identical to an uninterrupted run, including after a crash
   that truncates the last line mid-write.
@@ -14,11 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.heuristics import compare_heuristics
 from repro.exceptions import ExperimentError
-from repro.experiments.common import heuristic_campaign
+from repro.experiments.campaign_engine import noise_seed
+from repro.experiments.common import default_noise, overhead_noise
 from repro.scenarios.runner import aggregate_figure, plan_chunks, run_campaign
 from repro.scenarios.spec import named_space, spec_hash
 from repro.scenarios.store import CampaignState, CampaignStore, aggregate_rows
+from repro.simulation.executor import measure_heuristic
+from repro.workloads.matrices import MatrixProductWorkload
+from repro.workloads.platforms import campaign_factors
 
 
 def small_spec(name="small", count=6, sizes=(40, 120), noise="default"):
@@ -37,22 +43,23 @@ class TestPlanChunks:
 
 class TestCampaignParity:
     @pytest.mark.parametrize(
-        "space, campaign_kind, kwargs",
+        "space, campaign_kind, scale_kwargs",
         [
-            ("fig10", "homogeneous", {"heuristic_names": ("INC_C", "LIFO")}),
+            ("fig10", "homogeneous", {}),
             ("fig11", "hetero-comp", {}),
             ("fig12", "hetero-star", {}),
-            ("fig13a", "hetero-star", {"comp_scale": 10.0}),
-            ("fig13b", "hetero-star", {"comm_scale": 10.0}),
+            ("fig13a", "hetero-star", {"comp": 10.0}),
+            ("fig13b", "hetero-star", {"comm": 10.0}),
         ],
     )
-    def test_mean_ratios_match_figure_campaigns(self, tmp_path, space, campaign_kind, kwargs):
-        """Sampler-fed campaigns == StarPlatform-object campaigns, per figure.
+    def test_rows_match_scalar_reference_path(self, tmp_path, space, campaign_kind, scale_kwargs):
+        """Every persisted value == scalar compare_heuristics + measure_heuristic.
 
         Reduced platform counts keep the test fast; the sampled factor
         prefix is identical to the full fig10-13 factor sets (prefix
         property, pinned by the sampler tests), so this is the paper's
-        factor sets, truncated.
+        factor sets, truncated.  The one-port counterpart of the two-port
+        reference-parity test.
         """
         spec = named_space(space).derive(count=5, matrix_sizes=(40, 200))
         progress = run_campaign(spec, tmp_path, chunk_size=2)
@@ -60,31 +67,33 @@ class TestCampaignParity:
         rows = progress.rows()
         assert len(rows) == spec.scenario_count
 
-        from repro.experiments.fig13_ratio import overhead_noise
-        from repro.experiments.common import default_noise
-
-        figure = heuristic_campaign(
-            figure="ref",
-            title="reference",
-            campaign_kind=campaign_kind,
-            matrix_sizes=spec.matrix_sizes,
-            platform_count=spec.family.count,
-            workers=spec.family.workers,
-            total_tasks=spec.total_tasks,
-            seed=spec.family.seed,
-            noise_factory=overhead_noise if spec.noise == "overhead" else default_noise,
-            **kwargs,
-        )
-        aggregated = progress.aggregate()
-        reference = spec.reference
-        for size in spec.matrix_sizes:
+        factors = [
+            factor_set.scaled(**scale_kwargs) if scale_kwargs else factor_set
+            for factor_set in campaign_factors(
+                campaign_kind, spec.family.count,
+                size=spec.family.workers, seed=spec.family.seed,
+            )
+        ]
+        noise_factory = overhead_noise if spec.noise == "overhead" else default_noise
+        total = spec.total_tasks
+        for row in rows:
+            index, size = row["platform"], row["size"]
+            platform = factors[index].platform(MatrixProductWorkload(size))
+            evaluations = compare_heuristics(platform, spec.heuristics)
+            reference_time = evaluations[spec.reference].makespan_for(total)
+            noise = noise_factory(noise_seed(spec.family.seed, index, size))
             for name in spec.heuristics:
-                lp_label = f"{name} lp" if name == reference else f"{name} lp/{reference} lp"
-                assert aggregated[f"{name} lp"][size]["mean"] == figure.value(lp_label, size)
-                assert (
-                    aggregated[f"{name} real"][size]["mean"]
-                    == figure.value(f"{name} real/{reference} lp", size)
+                report = measure_heuristic(
+                    evaluations[name], total, noise=noise, collect_trace=False
                 )
+                lp = evaluations[name].makespan_for(total) / reference_time
+                assert row["values"][f"{name} lp"] == lp
+                assert (
+                    row["values"][f"{name} real"]
+                    == report.measured_makespan / reference_time
+                )
+                assert row["values"][f"{name} workers"] == len(report.participants)
+            assert row["values"][f"{spec.reference} time"] == reference_time
 
     def test_jobs_do_not_change_rows(self, tmp_path):
         spec = small_spec()

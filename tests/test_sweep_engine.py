@@ -7,12 +7,7 @@ import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments.common import default_noise
-from repro.experiments.sweep_engine import (
-    SweepTimeoutError,
-    resolve_jobs,
-    run_chunked,
-    run_sweep,
-)
+from repro.experiments.sweep_engine import _sweep_chunks, resolve_jobs, run_sweep
 from repro.simulation.executor import (
     measure_heuristic,
     prepare_measurement,
@@ -36,20 +31,6 @@ def _double(value):
 
 def _indexed_doubler(chunk):
     return [(index, 2 * item) for index, item in chunk]
-
-
-def _sleepy_doubler(chunk):
-    import time
-
-    time.sleep(5.0)
-    return [(index, 2 * item) for index, item in chunk]
-
-
-def _sleep_briefly(value):
-    import time
-
-    time.sleep(0.05)
-    return 2 * value
 
 
 class TestResolveJobs:
@@ -89,37 +70,14 @@ class TestRunSweep:
 
 class TestRunChunked:
     def test_chunk_worker_sees_indices(self):
-        assert run_chunked(_indexed_doubler, [5, 6], jobs=1) == [10, 12]
+        assert _sweep_chunks(_indexed_doubler, [5, 6], jobs=1) == [10, 12]
 
     def test_missing_results_are_detected(self):
         def broken(chunk):
             return [(index, item) for index, item in chunk[:-1]]
 
         with pytest.raises(ExperimentError):
-            run_chunked(broken, [1, 2, 3])
-
-
-class TestTimeoutAwareFutures:
-    """``timeout`` bounds a hung chunk; healthy sweeps never trip it."""
-
-    def test_hung_chunk_raises_sweep_timeout(self):
-        with pytest.raises(SweepTimeoutError) as excinfo:
-            run_chunked(_sleepy_doubler, [1, 2, 3, 4], jobs=2, timeout=0.2)
-        assert excinfo.value.pending >= 1
-        assert "timed out" in str(excinfo.value)
-
-    def test_healthy_sweep_is_untouched_by_generous_timeout(self):
-        items = list(range(6))
-        assert run_sweep(_sleep_briefly, items, jobs=2, timeout=30.0) == [
-            2 * item for item in items
-        ]
-
-    def test_timeout_is_inert_on_the_inline_path(self):
-        # jobs=1 runs inline: nothing to interrupt, timeout ignored.
-        assert run_chunked(_indexed_doubler, [5, 6], jobs=1, timeout=0.001) == [10, 12]
-
-    def test_sweep_timeout_is_an_experiment_error(self):
-        assert issubclass(SweepTimeoutError, ExperimentError)
+            _sweep_chunks(broken, [1, 2, 3])
 
 
 class TestPreparedMeasurement:
@@ -226,62 +184,52 @@ class TestCampaignEngineAgainstReferencePath:
 
     def test_prepared_cell_measure_matches_reference(self):
         """The scalar cell replay equals measure_heuristic per heuristic."""
-        from repro.experiments.campaign_engine import CampaignSpec, _prepare_chunk
+        from repro.experiments.campaign_engine import prepare_cells
+        from repro.workloads.sampling import base_costs, cost_table
 
-        spec = CampaignSpec(
-            heuristic_names=("INC_C", "LIFO"),
-            matrix_sizes=(100,),
-            total_tasks=250,
-            seed=4,
-            reference="INC_C",
-            noise_factory=default_noise,
-        )
+        heuristic_names = ("INC_C", "LIFO")
+        total_tasks = 250
         factors = campaign_factors("hetero-star", 1, size=5, seed=4)[0]
-        cells = _prepare_chunk(spec, [(0, factors)])
-        cell = cells[(factors.comm, factors.comp, 100)]
-        measured = cell.measure(default_noise(77))
+        c, w, d = cost_table(base_costs(100), np.array(factors.comm), np.array(factors.comp))
+        cells = prepare_cells(heuristic_names, "INC_C", total_tasks, [("cell", c, w, d)])
+        measured = cells["cell"].measure(default_noise(77))
 
         platform = factors.platform(MatrixProductWorkload(100))
-        evaluations = compare_heuristics(platform, spec.heuristic_names)
+        evaluations = compare_heuristics(platform, heuristic_names)
         noise = default_noise(77)
-        for name, makespan in zip(spec.heuristic_names, measured):
+        for name, makespan in zip(heuristic_names, measured):
             report = measure_heuristic(
-                evaluations[name], spec.total_tasks, noise=noise, collect_trace=False
+                evaluations[name], total_tasks, noise=noise, collect_trace=False
             )
             assert makespan == report.measured_makespan
 
     def test_chunk_ratios_match_scalar_reference(self):
-        from repro.experiments.campaign_engine import CampaignSpec, _run_chunk
+        from repro.experiments.campaign_engine import noise_seed
+        from repro.scenarios.runner import evaluate_range
+        from repro.scenarios.spec import named_space
 
-        spec = CampaignSpec(
-            heuristic_names=("INC_C", "INC_W", "LIFO"),
-            matrix_sizes=(60, 140),
-            total_tasks=300,
-            seed=11,
-            reference="INC_C",
-            noise_factory=default_noise,
+        spec = named_space("fig12").derive(
+            count=3, workers=6, seed=11, matrix_sizes=(60, 140), total_tasks=300
         )
-        factor_sets = campaign_factors("hetero-star", 3, size=6, seed=11)
-        chunk = list(enumerate(factor_sets))
-        engine = dict(_run_chunk(spec, chunk))
+        rows = evaluate_range(spec, 0, 3)
+        assert len(rows) == spec.scenario_count
 
-        for platform_index, factors in chunk:
-            for size in spec.matrix_sizes:
-                platform = factors.platform(
-                    MatrixProductWorkload(size), name=f"{factors.label}-s{size}"
+        factor_sets = campaign_factors("hetero-star", 3, size=6, seed=11)
+        for row in rows:
+            platform_index, size = row["platform"], row["size"]
+            platform = factor_sets[platform_index].platform(
+                MatrixProductWorkload(size), name=f"{factor_sets[platform_index].label}-s{size}"
+            )
+            evaluations = compare_heuristics(platform, spec.heuristics)
+            reference_time = evaluations["INC_C"].makespan_for(spec.total_tasks)
+            noise = default_noise(noise_seed(spec.family.seed, platform_index, size))
+            for name in spec.heuristics:
+                evaluation = evaluations[name]
+                lp_time = evaluation.makespan_for(spec.total_tasks)
+                report = measure_heuristic(
+                    evaluation, spec.total_tasks, noise=noise, collect_trace=False
                 )
-                evaluations = compare_heuristics(platform, spec.heuristic_names)
-                reference_time = evaluations["INC_C"].makespan_for(spec.total_tasks)
-                noise = spec.noise_factory(spec.noise_seed(platform_index, size))
-                for name in spec.heuristic_names:
-                    evaluation = evaluations[name]
-                    lp_time = evaluation.makespan_for(spec.total_tasks)
-                    report = measure_heuristic(
-                        evaluation, spec.total_tasks, noise=noise, collect_trace=False
-                    )
-                    assert engine[platform_index][(f"{name} lp", size)] == (
-                        lp_time / reference_time
-                    )
-                    assert engine[platform_index][(f"{name} real", size)] == (
-                        report.measured_makespan / reference_time
-                    )
+                assert row["values"][f"{name} lp"] == lp_time / reference_time
+                assert row["values"][f"{name} real"] == (
+                    report.measured_makespan / reference_time
+                )
