@@ -8,9 +8,10 @@ those steps as array layers; :mod:`repro.scenarios.runner` drives them
 for every campaign, the paper's Figures 10-13 included:
 
 * :func:`prepare_cells` stacks all LP evaluations of a batch of cost
-  tables into **one batched scenario-kernel call** per worker count and
-  builds the rounded measurement layouts straight from the kernel's load
-  vectors — no platform or schedule objects;
+  tables into **one batched scenario-kernel call** per worker count,
+  rounds each load vector once, and — for measured campaigns only —
+  builds the replay layouts straight from the kernel's load vectors and
+  those counts, no platform or schedule objects;
 * the heuristic order rules and the closed-form LIFO chain come from
   :mod:`repro.core.order_rules`, the cost tables from
   :mod:`repro.workloads.sampling`;
@@ -76,8 +77,10 @@ def noise_seed(seed: int, platform_index: int, size: int) -> int:
 class PreparedCell:
     """One (factor set, size) pair with every noise-independent step done.
 
-    ``lp_ratios`` are the (noise-free) LP ratio entries.  The measurement
-    side is the concatenation of the heuristics' prepared replays (see
+    ``lp_ratios`` are the (noise-free) LP ratio entries and
+    ``participants`` each heuristic's worker count after the paper's
+    rounding.  The measurement side — empty for LP-only cells — is the
+    concatenation of the heuristics' prepared replays (see
     :class:`~repro.simulation.executor.PreparedMeasurement`): one batched
     ``perturb_sequence`` call per platform draws the cell's whole noise
     stream — in exactly the order the per-run path would — and the
@@ -86,11 +89,12 @@ class PreparedCell:
 
     lp_ratios: tuple[tuple[str, float], ...]
     reference_time: float
-    prepared: tuple
-    durations: np.ndarray
-    kinds: tuple[str, ...]
-    workers: tuple[str, ...]
-    offsets: tuple[int, ...]
+    participants: tuple[int, ...]
+    prepared: tuple = ()
+    durations: np.ndarray | None = None
+    kinds: tuple[str, ...] = ()
+    workers: tuple[str, ...] = ()
+    offsets: tuple[int, ...] = ()
 
     def measure(self, noise: NoiseModel) -> list[float]:
         """Measured makespans of every heuristic, one batched draw.
@@ -185,7 +189,6 @@ class PreparedTwoPortRun:
     loads: dict[str, float]
     sigma1: tuple[str, ...]
     sigma2: tuple[str, ...]
-    participant_count: int
 
     def measure(self, noise: NoiseModel) -> float:
         """Measured two-port makespan of the prepared schedule."""
@@ -202,13 +205,15 @@ class TwoPortCell:
     The two-port counterpart of :class:`PreparedCell`: ``lp_ratios`` come
     from the batched two-port kernel (every heuristic is LP-backed —
     two-port LIFO has no closed form), and ``prepared`` holds one
-    :class:`PreparedTwoPortRun` per heuristic, measured in sequence from
-    one shared noise stream exactly like the serial reference path.
+    :class:`PreparedTwoPortRun` per heuristic (none for LP-only cells),
+    measured in sequence from one shared noise stream exactly like the
+    serial reference path.
     """
 
     lp_ratios: tuple[tuple[str, float], ...]
     reference_time: float
-    prepared: tuple[PreparedTwoPortRun, ...]
+    participants: tuple[int, ...]
+    prepared: tuple[PreparedTwoPortRun, ...] = ()
 
     def measure(self, noise: NoiseModel) -> list[float]:
         """Measured makespans of every heuristic, drawn in sequence."""
@@ -305,21 +310,35 @@ def _solve_stacked_orders(
     return loads_rows
 
 
-def _cell_ratios(evaluated, reference: str, total: int, heuristic_names):
-    """Reference time, LP ratios and prepared replays of one cell.
+def _cell_ratios(throughputs, reference: str, total: int, heuristic_names):
+    """Reference time and LP ratios of one cell.
 
-    ``evaluated`` maps each heuristic to its ``(throughput, prepared)``
-    pair.  Shared by both port models so the series definition — every
-    ratio normalised by the reference heuristic's LP prediction — can
-    never diverge between them.
+    ``throughputs`` maps each heuristic to its LP throughput.  Shared by
+    both port models so the series definition — every ratio normalised by
+    the reference heuristic's LP prediction — can never diverge between
+    them.
     """
-    reference_time = total / evaluated[reference][0]
+    reference_time = total / throughputs[reference]
     lp_ratios = tuple(
-        (name, (total / evaluated[name][0]) / reference_time)
-        for name in heuristic_names
+        (name, (total / throughputs[name]) / reference_time) for name in heuristic_names
     )
-    prepared = tuple(evaluated[name][1] for name in heuristic_names)
-    return reference_time, lp_ratios, prepared
+    return reference_time, lp_ratios
+
+
+def _rounded_counts(values: list[float], total: int) -> tuple[list[int], int]:
+    """The paper's integer counts of one load vector and its participant count.
+
+    The one rounding of each (cell, heuristic) pair: LP-only cells keep
+    just the participant count, measured cells lay their replay out from
+    the same counts.  Mirrors ``measure_heuristic``'s ``round_loads``.
+    """
+    counts = round_values(values, total)
+    # Loads are non-negative, so are their counts: the zeros are exactly
+    # the idle workers.
+    participants = len(counts) - counts.count(0)
+    if not participants:
+        raise ScheduleError("rounded schedule has no participating worker")
+    return counts, participants
 
 
 def prepare_cells(
@@ -328,6 +347,7 @@ def prepare_cells(
     total_tasks: int,
     keyed_tables: Sequence[tuple[tuple, np.ndarray, np.ndarray, np.ndarray]],
     one_port: bool = True,
+    measured: bool = True,
 ) -> dict[tuple, PreparedCell] | dict[tuple, TwoPortCell]:
     """Prepare a batch of ``(key, c, w, d)`` cost tables for evaluation.
 
@@ -339,8 +359,11 @@ def prepare_cells(
     heuristic) pair — is stacked into one batched kernel call per worker
     count; throughputs and prepared replays are assembled straight from
     the kernel's load vectors, no platform or schedule objects at all.
-    Everything here is bit-identical to evaluating
-    :func:`repro.core.heuristics.compare_heuristics` and
+    Each load vector is rounded once; the replay material is built from
+    those counts only when the cells will be ``measured`` (the runner
+    passes ``spec.noise is not None``), so LP-only cells carry just their
+    ratios and participant counts.  Everything here is bit-identical to
+    evaluating :func:`repro.core.heuristics.compare_heuristics` and
     :func:`repro.simulation.executor.measure_heuristic` per cell — the
     public reference path the test-suite pins this engine against.
 
@@ -353,7 +376,9 @@ def prepare_cells(
     reference path.
     """
     if not one_port:
-        return _prepare_two_port_cells(heuristic_names, reference, total_tasks, keyed_tables)
+        return _prepare_two_port_cells(
+            heuristic_names, reference, total_tasks, keyed_tables, measured
+        )
     for name in heuristic_names:
         if name not in HEURISTICS:
             raise ScheduleError(
@@ -370,40 +395,32 @@ def prepare_cells(
     ]
     loads_rows = _solve_stacked_orders(tables, orders)
 
+    lp_slots = {name: offset for offset, name in enumerate(lp_names)}
     cells: dict[tuple, PreparedCell] = {}
     for index, ((key, _, _, _), table) in enumerate(zip(keyed_tables, tables)):
         names, _, _, _, c_list, w_list, d_list = table
-        evaluated: dict[str, tuple[float, PreparedMeasurement]] = {}
-        for offset, name in enumerate(lp_names):
-            flat = index * len(lp_names) + offset
-            order = orders[flat]
-            values = loads_rows[flat].tolist()
-            ordered_names = [names[i] for i in order]
+        throughputs: dict[str, float] = {}
+        participants = []
+        prepared: list[PreparedMeasurement] = []
+        for name in heuristic_names:
+            slot = lp_slots.get(name)
+            if slot is None:
+                # The only non-LP heuristic: the closed-form optimal LIFO.
+                order = sorted_indices(names, c_list)
+                values = lifo_chain_values(c_list, w_list, d_list, order)
+            else:
+                flat = index * len(lp_names) + slot
+                order = orders[flat]
+                values = loads_rows[flat].tolist()
             # sum(values) is the schedule's total load; the unit deadline
             # makes it the throughput (same float as total_load / 1.0).
-            evaluated[name] = (
-                sum(values),
-                prepare_measurement_arrays(
-                    (
-                        [c_list[i] for i in order],
-                        [w_list[i] for i in order],
-                        [d_list[i] for i in order],
-                    ),
-                    ordered_names,
-                    ordered_names,
-                    values,
-                    total,
-                ),
-            )
-        for name in heuristic_names:
-            if name in evaluated:
+            throughputs[name] = sum(values)
+            counts, participant_count = _rounded_counts(values, total)
+            participants.append(participant_count)
+            if not measured:
                 continue
-            # The only non-LP heuristic: the closed-form optimal LIFO.
-            order = sorted_indices(names, c_list)
-            values = lifo_chain_values(c_list, w_list, d_list, order)
             ordered_names = [names[i] for i in order]
-            evaluated[name] = (
-                sum(values),
+            prepared.append(
                 prepare_measurement_arrays(
                     (
                         [c_list[i] for i in order],
@@ -411,22 +428,29 @@ def prepare_cells(
                         [d_list[i] for i in order],
                     ),
                     ordered_names,
-                    list(reversed(ordered_names)),
-                    values,
-                    total,
-                ),
+                    ordered_names if slot is not None else ordered_names[::-1],
+                    counts,
+                )
             )
 
-        reference_time, lp_ratios, prepared = _cell_ratios(
-            evaluated, reference, total, heuristic_names
+        reference_time, lp_ratios = _cell_ratios(
+            throughputs, reference, total, heuristic_names
         )
+        if not measured:
+            cells[key] = PreparedCell(
+                lp_ratios=lp_ratios,
+                reference_time=reference_time,
+                participants=tuple(participants),
+            )
+            continue
         offsets = [0]
         for measurement in prepared:
             offsets.append(offsets[-1] + len(measurement.durations))
         cells[key] = PreparedCell(
             lp_ratios=lp_ratios,
             reference_time=reference_time,
-            prepared=prepared,
+            participants=tuple(participants),
+            prepared=tuple(prepared),
             durations=np.concatenate([m.durations for m in prepared]),
             kinds=tuple(kind for m in prepared for kind in m.kinds),
             workers=tuple(worker for m in prepared for worker in m.workers),
@@ -440,6 +464,7 @@ def _prepare_two_port_cells(
     reference: str,
     total_tasks: int,
     keyed_tables: Sequence[tuple[tuple, np.ndarray, np.ndarray, np.ndarray]],
+    measured: bool,
 ) -> dict[tuple, TwoPortCell]:
     """Two-port cell preparation (see :func:`prepare_cells`).
 
@@ -476,19 +501,23 @@ def _prepare_two_port_cells(
     cells: dict[tuple, TwoPortCell] = {}
     for index, ((key, _, _, _), table) in enumerate(zip(keyed_tables, tables)):
         names, _, _, _, c_list, w_list, d_list = table
-        evaluated: dict[str, tuple[float, PreparedTwoPortRun]] = {}
+        throughputs: dict[str, float] = {}
+        participants = []
+        prepared: list[PreparedTwoPortRun] = []
         for offset, name in enumerate(heuristic_names):
             flat = index * heuristic_count + offset
-            order = orders[flat]
             values = loads_rows[flat].tolist()
-            ordered_names = [names[i] for i in order]
+            throughputs[name] = sum(values)
             # Rounding mirrors measure_heuristic's round_loads: integer
             # counts summing to the total, zero-load workers dropped from
             # both sigmas (reversal and filtering commute).
-            counts = round_values(values, total)
+            counts, participant_count = _rounded_counts(values, total)
+            participants.append(participant_count)
+            if not measured:
+                continue
+            order = orders[flat]
+            ordered_names = [names[i] for i in order]
             active = [k for k, count in enumerate(counts) if count > 0]
-            if not active:
-                raise ScheduleError("rounded schedule has no participating worker")
             sigma1 = tuple(ordered_names[k] for k in active)
             sigma2 = tuple(reversed(sigma1)) if reversed_returns[flat] else sigma1
             costs = {
@@ -498,23 +527,22 @@ def _prepare_two_port_cells(
                 for k in active
             }
             loads = {ordered_names[k]: float(counts[k]) for k in active}
-            evaluated[name] = (
-                sum(values),
+            prepared.append(
                 PreparedTwoPortRun(
                     costs=costs,
                     loads=loads,
                     sigma1=sigma1,
                     sigma2=sigma2,
-                    participant_count=len(active),
-                ),
+                )
             )
 
-        reference_time, lp_ratios, prepared = _cell_ratios(
-            evaluated, reference, total, heuristic_names
+        reference_time, lp_ratios = _cell_ratios(
+            throughputs, reference, total, heuristic_names
         )
         cells[key] = TwoPortCell(
             lp_ratios=lp_ratios,
             reference_time=reference_time,
-            prepared=prepared,
+            participants=tuple(participants),
+            prepared=tuple(prepared),
         )
     return cells

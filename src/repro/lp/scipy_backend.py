@@ -1,16 +1,20 @@
 """SciPy (HiGHS) backend for the linear-programming substrate.
 
 The original paper used ``lp_solve``; this backend plays the same role using
-:func:`scipy.optimize.linprog` with the HiGHS dual simplex.  It is the default
-backend for the experiment campaigns (fast, float), while the exact simplex of
-:mod:`repro.lp.simplex` serves as the reference implementation in tests and
-wherever exact vertex solutions are needed.
+:func:`scipy.optimize.linprog` with the HiGHS dual simplex.  It is the
+cross-check backend (``solver="scipy"``): general float LPs built through the
+modelling layer, and an independent solver to compare against.  The scenario
+kernels of :mod:`repro.core.fast_scenario` and :mod:`repro.core.batch_scenario`
+run every campaign and query, and the exact simplex of :mod:`repro.lp.simplex`
+is the reference implementation wherever exact vertex solutions are needed.
+
+SciPy is imported inside :meth:`ScipySolver.solve`, so importing this module
+(and therefore ``repro``) costs nothing until a HiGHS solve actually runs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.exceptions import SolverError
 from repro.lp.model import LinearProgram
@@ -37,6 +41,8 @@ class ScipySolver:
 
     def solve(self, program: LinearProgram) -> LPResult:
         """Solve ``program`` (a maximisation) and return an :class:`LPResult`."""
+        from scipy.optimize import linprog
+
         c, a_ub, b_ub, a_eq, b_eq, upper = program.to_dense()
         if c.size == 0:
             raise SolverError(f"program {program.name!r} has no variables")

@@ -8,7 +8,9 @@ pushing each chunk through the array-level campaign machinery:
    the family's factor tables once (vectorised RNG, no platform objects);
 2. each chunk's (platform, size) cells become stacked cost tables and one
    batched scenario-kernel call via
-   :func:`repro.experiments.campaign_engine.prepare_cells`;
+   :func:`repro.experiments.campaign_engine.prepare_cells`, which rounds
+   every load vector once and builds replay layouts only for measured
+   spaces;
 3. for measured spaces (``spec.noise``), every cell draws one batched
    noise stream — seeded per (platform index, size) by
    :func:`~repro.experiments.campaign_engine.noise_seed` — and the
@@ -254,7 +256,7 @@ def _evaluate_lp_chunk(
         total_tasks = spec.effective_total_tasks
         cells = prepare_cells(
             spec.heuristics, spec.reference, total_tasks, keyed_tables,
-            one_port=spec.one_port,
+            one_port=spec.one_port, measured=spec.noise is not None,
         )
         solve_span.set(cells=len(keyed_tables))
 
@@ -299,7 +301,7 @@ def _evaluate_lp_chunk(
             values[f"{name} lp"] = lp_ratio
             if makespans is not None:
                 values[f"{name} real"] = makespans[occurrence, slot] / cell.reference_time
-            values[f"{name} workers"] = cell.prepared[slot].participant_count
+            values[f"{name} workers"] = cell.participants[slot]
         values[f"{spec.reference} time"] = cell.reference_time
         offset = occurrence // len(grid)
         closed = closed_forms.get((factor_keys[offset], x))

@@ -213,17 +213,19 @@ def prepare_measurement_parts(
 ) -> PreparedMeasurement:
     """:func:`prepare_measurement` from raw schedule components.
 
-    ``values`` are the unit-deadline loads in ``schedule_sigma1`` order.
-    Hot paths call this directly with the kernel's load vector, skipping
-    the :class:`~repro.core.schedule.Schedule` round trip; the result is
-    identical.
+    ``values`` are the unit-deadline loads in ``schedule_sigma1`` order,
+    rounded here to integers summing to ``int(round(total_load))``.
     """
+    if total_load <= 0:
+        raise SimulationError("total_load must be positive")
+    total = int(round(total_load))
+    if total <= 0:
+        raise ScheduleError("total must be positive")
     return prepare_measurement_arrays(
         platform.cost_vectors(schedule_sigma1),
         schedule_sigma1,
         schedule_sigma2,
-        values,
-        total_load,
+        round_values(values, total),
     )
 
 
@@ -231,22 +233,15 @@ def prepare_measurement_arrays(
     cost_vectors,
     schedule_sigma1,
     schedule_sigma2,
-    values,
-    total_load: float,
+    counts,
 ) -> PreparedMeasurement:
-    """:func:`prepare_measurement` from raw cost arrays.
+    """Lay out already-rounded integer loads for repeated noisy replay.
 
-    ``cost_vectors`` is the ``(c, w, d)`` triple in ``schedule_sigma1``
-    order (as produced by :meth:`StarPlatform.cost_vectors`); callers that
-    already hold the campaign cost table avoid materialising platform
-    objects entirely.
+    ``cost_vectors`` is the ``(c, w, d)`` triple and ``counts`` the
+    integer loads, both in ``schedule_sigma1`` order.  Campaign code that
+    holds the cost table and has rounded the kernel's load vector itself
+    calls this directly: no platform objects, and no second rounding.
     """
-    if total_load <= 0:
-        raise SimulationError("total_load must be positive")
-    total = int(round(total_load))
-    if total <= 0:
-        raise ScheduleError("total must be positive")
-    counts = round_values(values, total)
     rounded = dict(zip(schedule_sigma1, counts))
     sigma1 = [name for name in schedule_sigma1 if rounded[name] > 0]
     sigma2 = [name for name in schedule_sigma2 if rounded[name] > 0]

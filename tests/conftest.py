@@ -7,6 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from repro.core.platform import StarPlatform, Worker, bus_platform, homogeneous_platform
+from repro.workloads.platforms import PlatformFactors, campaign_factors
+from repro.workloads.sampling import sample_factors
 
 
 # --------------------------------------------------------------------------- #
@@ -68,6 +70,27 @@ def z_greater_one() -> StarPlatform:
 def rng() -> np.random.Generator:
     """A seeded numpy generator for deterministic randomised tests."""
     return np.random.default_rng(20060501)
+
+
+def reference_factors(spec, campaign_kind, scale_kwargs):
+    """The scalar reference path's factor sets for a campaign parity test.
+
+    Paper campaigns come from the sequential ``campaign_factors`` draws;
+    ``campaign_kind=None`` takes the rows of the vectorised sampler.
+    """
+    if campaign_kind is None:
+        table = sample_factors(spec.family)
+        return [
+            PlatformFactors(comm=tuple(comm), comp=tuple(comp))
+            for comm, comp in zip(table.comm.tolist(), table.comp.tolist())
+        ]
+    return [
+        factor_set.scaled(**scale_kwargs) if scale_kwargs else factor_set
+        for factor_set in campaign_factors(
+            campaign_kind, spec.family.count,
+            size=spec.family.workers, seed=spec.family.seed,
+        )
+    ]
 
 
 # --------------------------------------------------------------------------- #

@@ -53,6 +53,29 @@ def test_cli_import_loads_no_scenario_module():
     subprocess.run([sys.executable, "-c", probe], check=True)
 
 
+def test_campaigns_and_queries_load_no_scipy(tmp_path):
+    """SciPy is the HiGHS cross-check backend only: no start-up, LP-only
+    campaign or kernel-backed query imports it."""
+    probe = (
+        "import sys\n"
+        "import repro, repro.cli, repro.scenarios, repro.api\n"
+        "from repro.api import QueryService\n"
+        "from repro.scenarios.runner import run_campaign\n"
+        "from repro.scenarios.spec import named_space\n"
+        "spec = named_space('mega-uniform').derive(count=4)\n"
+        f"progress = run_campaign(spec, {str(tmp_path)!r}, chunk_size=2)\n"
+        "assert progress.finished and progress.total_chunks == 2\n"
+        "costs = {'P1': {'c': 1.0, 'w': 3.0, 'd': 0.5},\n"
+        "         'P2': {'c': 2.0, 'w': 2.0, 'd': 1.0}}\n"
+        "service = QueryService()\n"
+        "for one_port in (True, False):\n"
+        "    assert service.query(costs, one_port=one_port).throughput > 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, f'scipy modules loaded: {loaded[:5]}'\n"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True)
+
+
 def test_scenario_spec_shares_the_sampling_types():
     """The spec layer embeds the workload layer's family description."""
     from repro.scenarios import spec as scenario_spec

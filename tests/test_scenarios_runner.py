@@ -12,19 +12,23 @@ The two load-bearing guarantees:
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.heuristics import compare_heuristics
 from repro.exceptions import ExperimentError
 from repro.experiments.campaign_engine import noise_seed
 from repro.experiments.common import default_noise, overhead_noise
-from repro.scenarios.runner import aggregate_figure, plan_chunks, run_campaign
+from repro.scenarios.runner import aggregate_figure, evaluate_range, plan_chunks, run_campaign
 from repro.scenarios.spec import named_space, spec_hash
 from repro.scenarios.store import CampaignState, CampaignStore, aggregate_rows
 from repro.simulation.executor import measure_heuristic
 from repro.workloads.matrices import MatrixProductWorkload
-from repro.workloads.platforms import campaign_factors
+
+from conftest import reference_factors
 
 
 def small_spec(name="small", count=6, sizes=(40, 120), noise="default"):
@@ -50,6 +54,7 @@ class TestCampaignParity:
             ("fig12", "hetero-star", {}),
             ("fig13a", "hetero-star", {"comp": 10.0}),
             ("fig13b", "hetero-star", {"comm": 10.0}),
+            ("mega-uniform", None, {}),
         ],
     )
     def test_rows_match_scalar_reference_path(self, tmp_path, space, campaign_kind, scale_kwargs):
@@ -59,7 +64,9 @@ class TestCampaignParity:
         prefix is identical to the full fig10-13 factor sets (prefix
         property, pinned by the sampler tests), so this is the paper's
         factor sets, truncated.  The one-port counterpart of the two-port
-        reference-parity test.
+        reference-parity test.  The LP-only ``mega-uniform`` space (no
+        ``campaign_kind``) takes its factors from the vectorised sampler
+        and must persist no measured series.
         """
         spec = named_space(space).derive(count=5, matrix_sizes=(40, 200))
         progress = run_campaign(spec, tmp_path, chunk_size=2)
@@ -67,13 +74,7 @@ class TestCampaignParity:
         rows = progress.rows()
         assert len(rows) == spec.scenario_count
 
-        factors = [
-            factor_set.scaled(**scale_kwargs) if scale_kwargs else factor_set
-            for factor_set in campaign_factors(
-                campaign_kind, spec.family.count,
-                size=spec.family.workers, seed=spec.family.seed,
-            )
-        ]
+        factors = reference_factors(spec, campaign_kind, scale_kwargs)
         noise_factory = overhead_noise if spec.noise == "overhead" else default_noise
         total = spec.total_tasks
         for row in rows:
@@ -81,17 +82,24 @@ class TestCampaignParity:
             platform = factors[index].platform(MatrixProductWorkload(size))
             evaluations = compare_heuristics(platform, spec.heuristics)
             reference_time = evaluations[spec.reference].makespan_for(total)
-            noise = noise_factory(noise_seed(spec.family.seed, index, size))
+            noise = (
+                None
+                if spec.noise is None
+                else noise_factory(noise_seed(spec.family.seed, index, size))
+            )
             for name in spec.heuristics:
                 report = measure_heuristic(
                     evaluations[name], total, noise=noise, collect_trace=False
                 )
                 lp = evaluations[name].makespan_for(total) / reference_time
                 assert row["values"][f"{name} lp"] == lp
-                assert (
-                    row["values"][f"{name} real"]
-                    == report.measured_makespan / reference_time
-                )
+                if noise is None:
+                    assert f"{name} real" not in row["values"]
+                else:
+                    assert (
+                        row["values"][f"{name} real"]
+                        == report.measured_makespan / reference_time
+                    )
                 assert row["values"][f"{name} workers"] == len(report.participants)
             assert row["values"][f"{spec.reference} time"] == reference_time
 
@@ -107,6 +115,56 @@ class TestCampaignParity:
         for row in progress.rows():
             assert not any(series.endswith(" real") for series in row["values"])
             assert f"{spec.reference} lp" in row["values"]
+
+
+class TestLpOnlyCells:
+    """LP-only spaces build no replay material; measured ones still do."""
+
+    @staticmethod
+    def forbid_replay_material(monkeypatch):
+        from repro.experiments import campaign_engine
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("replay material built")
+
+        monkeypatch.setattr(campaign_engine, "prepare_measurement_arrays", forbidden)
+        monkeypatch.setattr(campaign_engine, "PreparedTwoPortRun", forbidden)
+
+    @pytest.mark.parametrize("space", ["mega-uniform", "mega-uniform-twoport", "bus-theorem2"])
+    def test_lp_only_spaces_build_no_layout(self, monkeypatch, space):
+        spec = named_space(space)
+        assert spec.noise is None
+        self.forbid_replay_material(monkeypatch)
+        rows = evaluate_range(spec, 0, min(spec.family.count, 3))
+        assert rows and all(f"{spec.reference} workers" in row["values"] for row in rows)
+
+    @pytest.mark.parametrize("space", ["fig12", "fig12-twoport"])
+    def test_measured_spaces_build_replay_material(self, monkeypatch, space):
+        spec = named_space(space).derive(count=2, matrix_sizes=(40,))
+        self.forbid_replay_material(monkeypatch)
+        with pytest.raises(AssertionError, match="replay material built"):
+            evaluate_range(spec, 0, 2)
+
+
+class TestLpOnlyBytePins:
+    """LP-only stores keep their exact bytes, whatever the engine skips."""
+
+    @pytest.mark.parametrize(
+        "space, digest",
+        [
+            ("mega-uniform", "d16973ad0601bdabf7cb0aa908d94f1b9133dec7e322bb14d74cd4570863e7fd"),
+            (
+                "mega-uniform-twoport",
+                "f3f641452a03b02c6ddbb07a0b94ca108423bb3916452ac7e05917d61e57f43e",
+            ),
+        ],
+    )
+    def test_chunks_file_sha256(self, tmp_path, space, digest):
+        flags = ("--count", "9", "--chunk-size", "2")
+        assert main(["scenarios", "run", space, "--store", str(tmp_path), *flags]) == 0
+        spec = named_space(space).derive(count=9)
+        chunks = (tmp_path / spec_hash(spec) / "chunks.jsonl").read_bytes()
+        assert hashlib.sha256(chunks).hexdigest() == digest
 
 
 class TestResumeSemantics:

@@ -36,6 +36,8 @@ from repro.simulation.executor import measure_heuristic
 from repro.workloads.matrices import MatrixProductWorkload
 from repro.workloads.platforms import campaign_factors
 
+from conftest import reference_factors
+
 
 def two_port_spec(name="small-2p", count=4, sizes=(40, 120), noise="default"):
     return named_space("fig12-twoport").derive(
@@ -75,23 +77,23 @@ class TestReferenceParity:
             ("fig12-twoport", "hetero-star", {}),
             ("fig13a-twoport", "hetero-star", {"comp": 10.0}),
             ("fig13b-twoport", "hetero-star", {"comm": 10.0}),
+            ("mega-uniform-twoport", None, {}),
         ],
     )
     def test_rows_match_scalar_two_port_path(self, tmp_path, space, campaign_kind, scale_kwargs):
-        """Every persisted value == the scalar twoport + measure path."""
+        """Every persisted value == the scalar twoport + measure path.
+
+        The LP-only ``mega-uniform-twoport`` space (no ``campaign_kind``)
+        takes its factors from the vectorised sampler and must persist no
+        measured series.
+        """
         spec = named_space(space).derive(count=3, matrix_sizes=(40, 200))
         progress = run_campaign(spec, tmp_path, chunk_size=2)
         assert progress.finished
         rows = progress.rows()
         assert len(rows) == spec.scenario_count
 
-        factors = [
-            factor_set.scaled(**scale_kwargs) if scale_kwargs else factor_set
-            for factor_set in campaign_factors(
-                campaign_kind, spec.family.count,
-                size=spec.family.workers, seed=spec.family.seed,
-            )
-        ]
+        factors = reference_factors(spec, campaign_kind, scale_kwargs)
         noise_factory = overhead_noise if spec.noise == "overhead" else default_noise
         total = spec.total_tasks
         for row in rows:
@@ -101,7 +103,11 @@ class TestReferenceParity:
                 name: _reference_heuristic(platform, name) for name in spec.heuristics
             }
             reference_time = total / results[spec.reference].throughput
-            noise = noise_factory(noise_seed(spec.family.seed, index, size))
+            noise = (
+                None
+                if spec.noise is None
+                else noise_factory(noise_seed(spec.family.seed, index, size))
+            )
             for name in spec.heuristics:
                 report = measure_heuristic(
                     results[name], total, noise=noise, one_port=False,
@@ -109,10 +115,13 @@ class TestReferenceParity:
                 )
                 lp = (total / results[name].throughput) / reference_time
                 assert row["values"][f"{name} lp"] == lp
-                assert (
-                    row["values"][f"{name} real"]
-                    == report.measured_makespan / reference_time
-                )
+                if noise is None:
+                    assert f"{name} real" not in row["values"]
+                else:
+                    assert (
+                        row["values"][f"{name} real"]
+                        == report.measured_makespan / reference_time
+                    )
                 assert row["values"][f"{name} workers"] == len(report.participants)
             assert row["values"][f"{spec.reference} time"] == reference_time
 
