@@ -16,8 +16,8 @@ for every campaign, the paper's Figures 10-13 included:
   :mod:`repro.core.order_rules`, the cost tables from
   :mod:`repro.workloads.sampling`;
 * :func:`replay_grouped` replays the one-port measurements vectorised
-  across a whole chunk, :func:`replay_two_port` runs the merge-ordered
-  two-port replay per run;
+  across a whole chunk, :func:`replay_two_port` replays the chunk's
+  two-port runs in one lockstep merge of their event streams;
 * :func:`noise_seed` is the one per-(platform, size) noise-seed formula.
 
 Everything is pinned bit-for-bit by the test-suite against the public
@@ -50,7 +50,7 @@ from repro.simulation.executor import (
     prepare_measurement_arrays,
     timeline_indices,
 )
-from repro.simulation.fast_twoport import run_fast_twoport
+from repro.simulation.fast_twoport import PreparedTwoPortRun, run_fast_twoport
 from repro.simulation.noise import NoiseModel, perturb_sequence
 
 __all__ = [
@@ -152,52 +152,6 @@ def replay_grouped(
     return makespans
 
 
-class _WorkerCosts:
-    """Per-unit costs of one worker, quacking like a platform entry.
-
-    :func:`~repro.simulation.fast_twoport.run_fast_twoport` only ever does
-    ``platform[name].c`` (``.w``, ``.d``), so a plain dict of these stands
-    in for a :class:`~repro.core.platform.StarPlatform` — the floats come
-    straight from the campaign cost table, which is bit-identical to the
-    object path's worker costs.
-    """
-
-    __slots__ = ("c", "w", "d")
-
-    def __init__(self, c: float, w: float, d: float) -> None:
-        self.c = c
-        self.w = w
-        self.d = d
-
-
-@dataclass(frozen=True)
-class PreparedTwoPortRun:
-    """One heuristic's rounded two-port schedule, ready for noisy replay.
-
-    The two-port timeline has no static draw order — returns interleave
-    with pending sends, so the noise stream depends on the realised event
-    times.  Measurement therefore replays the merge-ordered state machine
-    of :func:`~repro.simulation.fast_twoport.run_fast_twoport` per run
-    instead of batching one ``perturb_sequence`` call; rounding, the
-    participant filter and the cost lookups are still done once here.
-    ``measure`` is bit-identical to ``measure_heuristic(result, total,
-    noise=noise, one_port=False).measured_makespan`` — same rounding, same
-    filtered sigmas, same merge-ordered draws (pinned by the test-suite).
-    """
-
-    costs: dict[str, _WorkerCosts]
-    loads: dict[str, float]
-    sigma1: tuple[str, ...]
-    sigma2: tuple[str, ...]
-
-    def measure(self, noise: NoiseModel) -> float:
-        """Measured two-port makespan of the prepared schedule."""
-        run = run_fast_twoport(
-            self.costs, self.loads, self.sigma1, self.sigma2, noise, collect_trace=False
-        )
-        return run.makespan
-
-
 @dataclass(frozen=True)
 class TwoPortCell:
     """One (factor set, size) pair prepared for two-port evaluation.
@@ -205,9 +159,13 @@ class TwoPortCell:
     The two-port counterpart of :class:`PreparedCell`: ``lp_ratios`` come
     from the batched two-port kernel (every heuristic is LP-backed —
     two-port LIFO has no closed form), and ``prepared`` holds one
-    :class:`PreparedTwoPortRun` per heuristic (none for LP-only cells),
-    measured in sequence from one shared noise stream exactly like the
-    serial reference path.
+    :class:`~repro.simulation.fast_twoport.PreparedTwoPortRun` per
+    heuristic (none for LP-only cells): the rounded schedule's participants
+    in send order, their noise-free durations and the collection order.
+    Replaying them from one shared noise stream, in slot order, is
+    bit-identical to ``measure_heuristic(result, total, noise=noise,
+    one_port=False).measured_makespan`` per heuristic — same rounding, same
+    filtered sigmas, same merge-ordered draws (pinned by the test-suite).
     """
 
     lp_ratios: tuple[tuple[str, float], ...]
@@ -215,29 +173,23 @@ class TwoPortCell:
     participants: tuple[int, ...]
     prepared: tuple[PreparedTwoPortRun, ...] = ()
 
-    def measure(self, noise: NoiseModel) -> list[float]:
-        """Measured makespans of every heuristic, drawn in sequence."""
-        return [run.measure(noise) for run in self.prepared]
-
 
 def replay_two_port(
     occurrences: list[tuple[int, int, TwoPortCell, NoiseModel]],
     heuristic_count: int,
 ) -> np.ndarray:
-    """Replay every (occurrence, heuristic) two-port run.
+    """Replay every (occurrence, heuristic) two-port run in one batch.
 
     Returns the ``(len(occurrences), heuristic_count)`` makespan matrix.
     Each occurrence carries its own noise model (seeded per (platform,
     size) like the one-port campaigns); its heuristics draw from that one
     stream in slot order, mirroring the serial path that measures each
-    heuristic in sequence.  The merge-ordered replay cannot pre-draw its
-    noise, so this loops runs instead of vectorising — the LP side of the
-    cell is still one batched kernel call.
+    heuristic in sequence.  One :func:`~repro.simulation.fast_twoport.
+    run_fast_twoport` call replays the whole chunk in lockstep: the
+    streams are drawn up front and each step merges every run's next event.
     """
-    makespans = np.empty((len(occurrences), heuristic_count))
-    for row, (_, _, cell, noise) in enumerate(occurrences):
-        makespans[row] = cell.measure(noise)
-    return makespans
+    times = run_fast_twoport([(noise, cell.prepared) for _, _, cell, noise in occurrences])
+    return times.makespans.reshape(len(occurrences), heuristic_count)
 
 
 def _cost_tables(keyed_tables):
@@ -501,6 +453,7 @@ def _prepare_two_port_cells(
     cells: dict[tuple, TwoPortCell] = {}
     for index, ((key, _, _, _), table) in enumerate(zip(keyed_tables, tables)):
         names, _, _, _, c_list, w_list, d_list = table
+        costs = np.array((c_list, w_list, d_list)) if measured else None
         throughputs: dict[str, float] = {}
         participants = []
         prepared: list[PreparedTwoPortRun] = []
@@ -516,23 +469,14 @@ def _prepare_two_port_cells(
             if not measured:
                 continue
             order = orders[flat]
-            ordered_names = [names[i] for i in order]
-            active = [k for k, count in enumerate(counts) if count > 0]
-            sigma1 = tuple(ordered_names[k] for k in active)
-            sigma2 = tuple(reversed(sigma1)) if reversed_returns[flat] else sigma1
-            costs = {
-                ordered_names[k]: _WorkerCosts(
-                    c_list[order[k]], w_list[order[k]], d_list[order[k]]
-                )
-                for k in active
-            }
-            loads = {ordered_names[k]: float(counts[k]) for k in active}
+            active = [order[k] for k, count in enumerate(counts) if count > 0]
+            loads = np.array([count for count in counts if count > 0], dtype=float)
+            collect = np.arange(len(active))
             prepared.append(
                 PreparedTwoPortRun(
-                    costs=costs,
-                    loads=loads,
-                    sigma1=sigma1,
-                    sigma2=sigma2,
+                    workers=tuple(names[i] for i in active),
+                    durations=costs.take(active, axis=1) * loads,
+                    collect=collect[::-1] if reversed_returns[flat] else collect,
                 )
             )
 

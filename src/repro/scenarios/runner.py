@@ -280,8 +280,9 @@ def _evaluate_lp_chunk(
                         noise, cell.durations, cell.kinds, cell.workers
                     )
                 else:
-                    # Two-port: the merge-ordered replay draws on demand —
-                    # the occurrence carries the seeded model itself.
+                    # Two-port: the draw order depends on the realised
+                    # times, so the occurrence carries the seeded model and
+                    # the chunk's lockstep replay draws its stream.
                     payload = noise
             occurrences.append((platform_index, x, cell, payload))
 

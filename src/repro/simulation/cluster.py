@@ -36,7 +36,7 @@ from repro.simulation.network import MasterPorts
 from repro.simulation.noise import NoiseModel, NoJitter
 from repro.simulation.trace import Trace
 
-__all__ = ["WorkerRecord", "ClusterRun", "ClusterSimulation"]
+__all__ = ["WorkerRecord", "ClusterRun", "ClusterSimulation", "replayed_run"]
 
 
 @dataclass
@@ -97,6 +97,52 @@ class ClusterRun:
         return self.trace.busy_time("master", kinds=("send", "return"))
 
 
+def replayed_run(
+    loads: Mapping[str, float],
+    sigma1: Sequence[str],
+    sigma2: Sequence[str],
+    send_end: Mapping[str, float],
+    compute_end: Mapping[str, float],
+    return_start: Mapping[str, float],
+    return_end: Mapping[str, float],
+    one_port: bool,
+    collect_trace: bool = True,
+) -> ClusterRun:
+    """The run of an analytic replay, from its per-worker operation times.
+
+    Sends go back to back in ``sigma1`` order from time 0 and each compute
+    starts at its send's end.  The trace holds the event engine's bars
+    (ordered differently within equal timestamps; consumers sort per
+    resource anyway); ``collect_trace=False`` skips it.
+    """
+    trace = Trace()
+    records: dict[str, WorkerRecord] = {}
+    previous = 0.0
+    for name in sigma1:
+        records[name] = WorkerRecord(
+            worker=name, load=float(loads[name]), send_start=previous,
+            send_end=send_end[name], compute_start=send_end[name],
+            compute_end=compute_end[name], return_start=return_start[name],
+            return_end=return_end[name],
+        )
+        previous = send_end[name]
+    if collect_trace:
+        for name, record in records.items():
+            bar = (record.send_start, record.send_end)
+            trace.record("master", "send", *bar, load=record.load, note=name)
+            trace.record(name, "send", *bar, load=record.load)
+        for name in sorted(sigma1, key=compute_end.__getitem__):
+            bar = (send_end[name], compute_end[name])
+            trace.record(name, "compute", *bar, load=records[name].load)
+        for name in sigma2:
+            record = records[name]
+            bar = (record.return_start, record.return_end)
+            trace.record("master", "return", *bar, load=record.load, note=name)
+            trace.record(name, "return", *bar, load=record.load)
+    makespan = max([0.0, *return_end.values()])
+    return ClusterRun(makespan=makespan, records=records, trace=trace, one_port=one_port)
+
+
 class ClusterSimulation:
     """Discrete-event simulation of one schedule on one platform.
 
@@ -114,7 +160,8 @@ class ClusterSimulation:
         model through :func:`~repro.simulation.fast_cluster.
         run_fast_timeline` (static timeline, batched noise draws) and the
         two-port model through :func:`~repro.simulation.fast_twoport.
-        run_fast_twoport` (merge-ordered noise-draw replay) — with the same
+        run_twoport_assignment` (the lockstep merge-ordered replay, a batch
+        of one) — with the same
         event times and noise draws as the discrete-event engine,
         bit-identical and an order of magnitude faster.  ``"event"`` forces
         the discrete-event engine; ``"fast"`` forces the analytic replay.
@@ -175,9 +222,9 @@ class ClusterSimulation:
                     self.platform, loads, sigma1, sigma2, self.noise,
                     collect_trace=self.collect_trace,
                 )
-            from repro.simulation.fast_twoport import run_fast_twoport
+            from repro.simulation.fast_twoport import run_twoport_assignment
 
-            return run_fast_twoport(
+            return run_twoport_assignment(
                 self.platform, loads, sigma1, sigma2, self.noise,
                 collect_trace=self.collect_trace,
             )

@@ -35,8 +35,8 @@ events carry the same bars but may be ordered differently within equal
 timestamps.
 
 The two-port program interleaves return transfers with pending sends, so its
-draw order depends on the realised times; its replay is the merge-ordered
-state machine of :mod:`repro.simulation.fast_twoport`.
+draw order depends on the realised times; :mod:`repro.simulation.fast_twoport`
+replays it by merging the send and receive threads' draws in lockstep.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ from typing import Mapping, Sequence
 
 from repro.core.platform import StarPlatform
 from repro.simulation.noise import NoiseModel, perturb_sequence
-from repro.simulation.trace import Trace
 
 __all__ = ["run_fast_timeline"]
+
+#: Per-unit cost attribute of each operation kind.
+_COST = {"send": "c", "compute": "w", "return": "d"}
 
 
 def run_fast_timeline(
@@ -66,12 +68,10 @@ def run_fast_timeline(
     Gantt bars (records and makespan are unaffected) for callers that only
     measure completion times.
     """
-    from repro.simulation.cluster import ClusterRun, WorkerRecord
+    from repro.simulation.cluster import replayed_run
 
-    trace = Trace()
-    records: dict[str, WorkerRecord] = {}
     if not sigma1:
-        return ClusterRun(makespan=0.0, records=records, trace=trace, one_port=True)
+        return replayed_run(loads, (), (), {}, {}, {}, {}, one_port=True)
 
     # All operation durations are known upfront (load times unit cost), so
     # the noise draws are batched through one perturb_sequence call — in
@@ -82,52 +82,33 @@ def run_fast_timeline(
     # c_{q-1}, r(sigma2[0]), ...]: send k >= 1 sits at 2k-1, compute k at
     # 2k+2 (except compute q-1 at 2q-1), return slot i at 2q+i.
     q = len(sigma1)
-    specs = {name: platform[name] for name in sigma1}
-    floats = {name: float(loads[name]) for name in sigma1}
-    first = sigma1[0]
-    durations: list[float] = [floats[first] * specs[first].c]
-    kinds: list[str] = ["send"]
-    names: list[str] = [first]
+    first, last = sigma1[0], sigma1[-1]
+    operations = [(first, "send")]
     for k in range(1, q):
-        name = sigma1[k]
-        previous = sigma1[k - 1]
-        durations.append(floats[name] * specs[name].c)
-        kinds.append("send")
-        names.append(name)
-        durations.append(floats[previous] * specs[previous].w)
-        kinds.append("compute")
-        names.append(previous)
-    last = sigma1[q - 1]
-    durations.append(floats[last] * specs[last].w)
-    kinds.append("compute")
-    names.append(last)
-    for name in sigma2:
-        durations.append(floats[name] * specs[name].d)
-        kinds.append("return")
-        names.append(name)
+        operations += [(sigma1[k], "send"), (sigma1[k - 1], "compute")]
+    operations += [(last, "compute")] + [(name, "return") for name in sigma2]
+    names, kinds = zip(*operations)
+    durations = [
+        float(loads[name]) * getattr(platform[name], _COST[kind]) for name, kind in operations
+    ]
     perturbed = perturb_sequence(noise, durations, kinds, names).tolist()
 
     # Phase 1+2 — sends back-to-back, computes starting at each send end.
-    send_start: dict[str, float] = {first: 0.0}
     send_end: dict[str, float] = {}
     compute_end: dict[str, float] = {}
     clock = perturbed[0]
     send_end[first] = clock
     for k in range(1, q):
         name = sigma1[k]
-        send_start[name] = clock
         clock += perturbed[2 * k - 1]
         send_end[name] = clock
         previous = sigma1[k - 1]
         compute_end[previous] = send_end[previous] + perturbed[2 * k]
     compute_end[last] = send_end[last] + perturbed[2 * q - 1]
-    for name in sigma1:
-        records[name] = WorkerRecord(worker=name, load=floats[name])
-    sends_done = clock
 
     # Phase 3 — returns in sigma2 order, one-port: the receive loop starts
     # after the last send and serialises the return transfers.
-    port_free = sends_done
+    port_free = clock
     return_start: dict[str, float] = {}
     return_end: dict[str, float] = {}
     for slot, name in enumerate(sigma2):
@@ -135,32 +116,7 @@ def run_fast_timeline(
         return_start[name] = start
         port_free = start + perturbed[2 * q + slot]
         return_end[name] = port_free
-
-    makespan = 0.0
-    for name in sigma1:
-        record = records[name]
-        record.send_start = send_start[name]
-        record.send_end = send_end[name]
-        record.compute_start = send_end[name]
-        record.compute_end = compute_end[name]
-        record.return_start = return_start[name]
-        record.return_end = return_end[name]
-        makespan = max(makespan, return_end[name])
-
-    if not collect_trace:
-        return ClusterRun(makespan=makespan, records=records, trace=trace, one_port=True)
-
-    # Trace bars identical to the event engine's (ordering within equal
-    # timestamps may differ; consumers sort per resource anyway).
-    for name in sigma1:
-        load = float(loads[name])
-        trace.record("master", "send", send_start[name], send_end[name], load=load, note=name)
-        trace.record(name, "send", send_start[name], send_end[name], load=load)
-    for name in sorted(sigma1, key=lambda n: compute_end[n]):
-        trace.record(name, "compute", send_end[name], compute_end[name], load=float(loads[name]))
-    for name in sigma2:
-        load = float(loads[name])
-        trace.record("master", "return", return_start[name], return_end[name], load=load, note=name)
-        trace.record(name, "return", return_start[name], return_end[name], load=load)
-
-    return ClusterRun(makespan=makespan, records=records, trace=trace, one_port=True)
+    return replayed_run(
+        loads, sigma1, sigma2, send_end, compute_end, return_start, return_end,
+        one_port=True, collect_trace=collect_trace,
+    )

@@ -35,23 +35,37 @@ __all__ = [
     "GaussianJitter",
     "AffineOverhead",
     "ComposedNoise",
+    "KIND_CODES",
+    "apply_key",
     "perturb_sequence",
 ]
 
 
 #: Operation kinds passed to noise models.
 OperationKind = str
-_KINDS = frozenset(("send", "compute", "return"))
+#: Integer code of each operation kind, as :meth:`apply` receives them.
+KIND_CODES = {"send": 0, "compute": 1, "return": 2}
+_COMPUTE = KIND_CODES["compute"]
 
 
 class NoiseModel(Protocol):
     """Structural type of a noise model.
 
-    Implementations may additionally provide ``perturb_many(durations,
-    kinds, workers)`` — a vectorised variant required to consume their
-    random stream *exactly* like the equivalent sequence of
-    :meth:`perturb` calls (see :func:`perturb_sequence`) — and a
-    ``stateless`` flag telling composition whether draw order matters.
+    Only :meth:`perturb` is required.  A model whose random draws do not
+    depend on the operations they perturb may also split it in two, which
+    lets replays take a whole stream up front:
+
+    * ``draw(count)`` consumes the stream exactly like ``count``
+      :meth:`perturb` calls and returns the raw draws (``None`` when the
+      model has no random state);
+    * ``apply(durations, kinds, draws)`` perturbs operations with those
+      draws (``kinds`` as :data:`KIND_CODES` integers), bit-identical to
+      the :meth:`perturb` calls that would have made them;
+    * ``predraws = True`` announces the split.  Parameters are public
+      attributes and random state is private, so :func:`apply_key` can
+      tell which models apply their draws alike.
+
+    A ``stateless`` flag tells composition whether draw order matters.
     """
 
     def perturb(self, duration: float, kind: OperationKind, worker: str) -> float:
@@ -62,18 +76,20 @@ class NoiseModel(Protocol):
 def _check(duration: float, kind: OperationKind) -> None:
     if duration < 0:
         raise SimulationError(f"negative operation duration: {duration}")
-    if kind not in _KINDS:
+    if kind not in KIND_CODES:
         raise SimulationError(f"unknown operation kind {kind!r}")
 
 
-def _check_many(durations: np.ndarray, kinds: Sequence[OperationKind]) -> None:
+def _kind_codes(durations: np.ndarray, kinds: Sequence[OperationKind]) -> np.ndarray:
+    """Validate a sequence of operations; the kinds as integer codes."""
     if len(durations) != len(kinds):
         raise SimulationError("durations and kinds must have the same length")
     if durations.size and durations.min() < 0:
         raise SimulationError(f"negative operation duration: {durations.min()}")
-    if not _KINDS.issuperset(kinds):
-        unknown = next(kind for kind in kinds if kind not in _KINDS)
-        raise SimulationError(f"unknown operation kind {unknown!r}")
+    try:
+        return np.array([KIND_CODES[kind] for kind in kinds], dtype=np.intp)
+    except KeyError as error:
+        raise SimulationError(f"unknown operation kind {error.args[0]!r}") from None
 
 
 def perturb_sequence(
@@ -84,17 +100,18 @@ def perturb_sequence(
 ) -> np.ndarray:
     """Perturb a whole sequence of operations, preserving the draw stream.
 
-    Uses the model's vectorised ``perturb_many`` when available; models
-    without one (e.g. user-supplied) fall back to sequential
-    :meth:`~NoiseModel.perturb` calls.  Either way the result — and the
-    model's random state afterwards — is identical to perturbing the
-    operations one by one in sequence order, which is what lets the
-    analytic replays batch their noise draws without changing a single bit
-    of the campaigns.
+    A model that pre-draws (see :class:`NoiseModel`) takes the sequence's
+    draws in one call and applies them vectorised; any other model (e.g.
+    user-supplied) falls back to sequential :meth:`~NoiseModel.perturb`
+    calls.  Either way the result — and the model's random state
+    afterwards — is identical to perturbing the operations one by one in
+    sequence order, which is what lets the analytic replays batch their
+    noise draws without changing a single bit of the campaigns.
     """
-    many = getattr(noise, "perturb_many", None)
-    if many is not None:
-        return many(durations, kinds, workers)
+    if getattr(noise, "predraws", False):
+        durations = np.asarray(durations, dtype=float)
+        codes = _kind_codes(durations, kinds)
+        return noise.apply(durations, codes, noise.draw(len(durations)))
     return np.array(
         [
             noise.perturb(float(duration), kind, worker)
@@ -103,25 +120,33 @@ def perturb_sequence(
     )
 
 
+def apply_key(noise: "NoiseModel") -> tuple:
+    """Equal for models whose ``apply`` is the same function.
+
+    Two seeds of one model share a key (same class, same public
+    attributes), so a batch can perturb all their operations in one call.
+    """
+    if isinstance(noise, ComposedNoise):
+        return (ComposedNoise, *map(apply_key, noise.models))
+    return (type(noise), *sorted(item for item in vars(noise).items() if item[0][0] != "_"))
+
+
 @dataclass(frozen=True)
 class NoJitter:
     """Ideal execution: durations are returned unchanged."""
 
     #: Draw-order independent (no random state).
     stateless = True
+    predraws = True
 
     def perturb(self, duration: float, kind: OperationKind, worker: str) -> float:
         _check(duration, kind)
         return duration
 
-    def perturb_many(
-        self,
-        durations: Sequence[float] | np.ndarray,
-        kinds: Sequence[OperationKind],
-        workers: Sequence[str],
-    ) -> np.ndarray:
-        durations = np.asarray(durations, dtype=float)
-        _check_many(durations, kinds)
+    def draw(self, count: int) -> None:
+        return None
+
+    def apply(self, durations: np.ndarray, kinds: np.ndarray, draws: None) -> np.ndarray:
         return durations.copy()
 
 
@@ -152,51 +177,53 @@ class UniformJitter:
         # Same stream as np.random.default_rng(seed), constructed cheaper
         # (campaigns build one jitter per platform/size cell).
         self._rng = np.random.Generator(np.random.PCG64(seed))
-        self._draws: list[float] = []
+        # The current block of unit draws, its values as floats (built on
+        # the first perturb call) and the next unused position.
+        self._block = np.empty(0)
+        self._values: list[float] | None = None
+        self._next = 0
 
     #: Consumes a seeded random stream: draw order matters.
     stateless = False
+    predraws = True
 
-    def _take(self, count: int) -> np.ndarray:
-        """Consume ``count`` unit draws, exactly like ``count`` pops."""
-        draws = self._draws
-        taken: list[float] = []
-        while count > 0:
-            if not draws:
-                draws[:] = self._rng.random(self._BATCH)[::-1].tolist()
-            step = count if count < len(draws) else len(draws)
-            taken.extend(draws[-step:][::-1])  # tail slice = pop order
-            del draws[-step:]
-            count -= step
-        return np.array(taken)
+    def _refill(self, size: int) -> None:
+        self._block = self._rng.random(size)
+        self._values = None
+        self._next = 0
+
+    def draw(self, count: int) -> np.ndarray:
+        """Consume ``count`` unit draws, exactly like ``count`` perturb calls.
+
+        Refills take whole ``_BATCH``-sized blocks of the generator's stream
+        (one ``random(n)`` call yields the same values as ``n / _BATCH``
+        calls of ``_BATCH``), so the state afterwards matches too.
+        """
+        start = self._next
+        block = self._block
+        if count <= block.size - start:
+            self._next = start + count
+            return block[start : self._next]
+        missing = count - (block.size - start)
+        self._refill(-(-missing // self._BATCH) * self._BATCH)
+        self._next = missing
+        return np.concatenate((block[start:], self._block[:missing]))
 
     def perturb(self, duration: float, kind: OperationKind, worker: str) -> float:
         _check(duration, kind)
         amplitude = self.amplitude if kind == "compute" else self.comm_amplitude
-        draws = self._draws
-        if not draws:
-            # reversed so that pop() consumes the stream in draw order
-            draws[:] = self._rng.random(self._BATCH)[::-1].tolist()
-            self._draws = draws
-        return duration * (1.0 + draws.pop() * amplitude)
+        if self._next == self._block.size:
+            self._refill(self._BATCH)
+        if self._values is None:
+            self._values = self._block.tolist()
+        draw = self._values[self._next]
+        self._next += 1
+        return duration * (1.0 + draw * amplitude)
 
-    def perturb_many(
-        self,
-        durations: Sequence[float] | np.ndarray,
-        kinds: Sequence[OperationKind],
-        workers: Sequence[str],
-    ) -> np.ndarray:
-        """Vectorised :meth:`perturb`: same stream, same bits, one call."""
-        durations = np.asarray(durations, dtype=float)
-        _check_many(durations, kinds)
-        amplitude = self.amplitude
-        comm_amplitude = self.comm_amplitude
-        amplitudes = np.fromiter(
-            (amplitude if kind == "compute" else comm_amplitude for kind in kinds),
-            dtype=float,
-            count=len(kinds),
-        )
-        return durations * (1.0 + self._take(len(durations)) * amplitudes)
+    def apply(self, durations: np.ndarray, kinds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """:meth:`perturb`'s arithmetic, elementwise: same bits."""
+        amplitudes = np.where(kinds == _COMPUTE, self.amplitude, self.comm_amplitude)
+        return durations * (1.0 + draws * amplitudes)
 
 
 class GaussianJitter:
@@ -218,28 +245,24 @@ class GaussianJitter:
 
     #: Consumes a seeded random stream: draw order matters.
     stateless = False
+    predraws = True
 
     def perturb(self, duration: float, kind: OperationKind, worker: str) -> float:
         _check(duration, kind)
         factor = max(self.floor, self._rng.normal(1.0 + self.bias, self.sigma))
         return duration * factor
 
-    def perturb_many(
-        self,
-        durations: Sequence[float] | np.ndarray,
-        kinds: Sequence[OperationKind],
-        workers: Sequence[str],
-    ) -> np.ndarray:
-        """Vectorised :meth:`perturb`.
+    def draw(self, count: int) -> np.ndarray:
+        """The raw normal factors of ``count`` operations.
 
         ``Generator.normal(size=n)`` consumes the underlying bit stream
         exactly like ``n`` scalar calls, so the factors are bit-identical
         to the sequential path (asserted by the test-suite).
         """
-        durations = np.asarray(durations, dtype=float)
-        _check_many(durations, kinds)
-        factors = self._rng.normal(1.0 + self.bias, self.sigma, size=len(durations))
-        return durations * np.maximum(self.floor, factors)
+        return self._rng.normal(1.0 + self.bias, self.sigma, size=count)
+
+    def apply(self, durations: np.ndarray, kinds: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        return durations * np.maximum(self.floor, draws)
 
 
 @dataclass(frozen=True)
@@ -260,6 +283,7 @@ class AffineOverhead:
 
     #: Draw-order independent (no random state).
     stateless = True
+    predraws = True
 
     def perturb(self, duration: float, kind: OperationKind, worker: str) -> float:
         _check(duration, kind)
@@ -267,18 +291,11 @@ class AffineOverhead:
             return duration + self.compute_latency
         return duration + self.comm_latency
 
-    def perturb_many(
-        self,
-        durations: Sequence[float] | np.ndarray,
-        kinds: Sequence[OperationKind],
-        workers: Sequence[str],
-    ) -> np.ndarray:
-        durations = np.asarray(durations, dtype=float)
-        _check_many(durations, kinds)
-        latencies = np.where(
-            [kind == "compute" for kind in kinds], self.compute_latency, self.comm_latency
-        )
-        return durations + latencies
+    def draw(self, count: int) -> None:
+        return None
+
+    def apply(self, durations: np.ndarray, kinds: np.ndarray, draws: None) -> np.ndarray:
+        return durations + np.where(kinds == _COMPUTE, self.compute_latency, self.comm_latency)
 
 
 class ComposedNoise:
@@ -286,11 +303,17 @@ class ComposedNoise:
 
     def __init__(self, *models: NoiseModel) -> None:
         self.models = tuple(models)
-
-    @property
-    def stateless(self) -> bool:
-        """Draw-order independent iff every component is."""
-        return all(getattr(model, "stateless", False) for model in self.models)
+        stateful = [not getattr(model, "stateless", False) for model in self.models]
+        #: Draw-order independent iff every component is.
+        self.stateless = not any(stateful)
+        # Drawing every operation's value before applying the chain
+        # reorders draws across models; that is observable only when two
+        # or more components consume random state, so such a chain keeps
+        # the sequential per-operation path.
+        self.predraws = sum(stateful) <= 1 and all(
+            getattr(model, "predraws", False) for model in self.models
+        )
+        self._stateful = stateful
 
     def perturb(self, duration: float, kind: OperationKind, worker: str) -> float:
         _check(duration, kind)
@@ -298,31 +321,16 @@ class ComposedNoise:
             duration = model.perturb(duration, kind, worker)
         return duration
 
-    def perturb_many(
-        self,
-        durations: Sequence[float] | np.ndarray,
-        kinds: Sequence[OperationKind],
-        workers: Sequence[str],
-    ) -> np.ndarray:
-        """Vectorised chain application.
+    def draw(self, count: int) -> np.ndarray | None:
+        """The draws of the one stateful component (``None`` if none is)."""
+        for model, stateful in zip(self.models, self._stateful):
+            if stateful:
+                return model.draw(count)
+        return None
 
-        Applying model 1 to *all* operations before model 2 reorders draws
-        across models; that is observable only when two or more component
-        models consume random state, in which case the chain falls back to
-        the sequential per-operation path to keep the stream identical.
-        """
-        durations = np.asarray(durations, dtype=float)
-        _check_many(durations, kinds)
-        stateful = sum(
-            1 for model in self.models if not getattr(model, "stateless", False)
-        )
-        if stateful > 1:
-            return np.array(
-                [
-                    self.perturb(float(duration), kind, worker)
-                    for duration, kind, worker in zip(durations, kinds, workers)
-                ]
-            )
-        for model in self.models:
-            durations = perturb_sequence(model, durations, kinds, workers)
+    def apply(
+        self, durations: np.ndarray, kinds: np.ndarray, draws: np.ndarray | None
+    ) -> np.ndarray:
+        for model, stateful in zip(self.models, self._stateful):
+            durations = model.apply(durations, kinds, draws if stateful else None)
         return durations

@@ -4,19 +4,26 @@
 engine *bit for bit* — makespans, per-worker records, trace bars and noise
 draws — under every noise model, including the default campaign noise whose
 draw order couples the send/compute stream with the return stream through
-the realised event times.
+the realised event times.  The batched lockstep replay is pinned run by run
+against the engine, shared noise streams and exact ties included.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import platforms
+from repro.core.platform import StarPlatform, Worker
 from repro.experiments.common import default_noise
 from repro.simulation.cluster import ClusterSimulation
-from repro.simulation.fast_twoport import run_fast_twoport
+from repro.simulation.fast_twoport import (
+    PreparedTwoPortRun,
+    run_fast_twoport,
+    run_twoport_assignment,
+)
 from repro.simulation.noise import (
     AffineOverhead,
     ComposedNoise,
@@ -92,15 +99,15 @@ class TestTwoPortReplay:
         _assert_same_run(auto, event)
 
     def test_empty_assignment(self, three_workers):
-        run = run_fast_twoport(three_workers, {}, [], [], NoJitter())
+        run = run_twoport_assignment(three_workers, {}, [], [], NoJitter())
         assert run.makespan == 0.0
         assert run.records == {}
 
     def test_collect_trace_false_skips_gantt_only(self, three_workers):
         loads = {name: 1.0 for name in three_workers.worker_names}
         names = three_workers.worker_names
-        with_trace = run_fast_twoport(three_workers, loads, names, names, NoJitter())
-        without = run_fast_twoport(
+        with_trace = run_twoport_assignment(three_workers, loads, names, names, NoJitter())
+        without = run_twoport_assignment(
             three_workers, loads, names, names, NoJitter(), collect_trace=False
         )
         assert without.makespan == with_trace.makespan
@@ -124,7 +131,7 @@ class TestTwoPortReplay:
             name="interleaved",
         )
         loads = {"fast": 1.0, "slow": 1.0}
-        run = run_fast_twoport(
+        run = run_twoport_assignment(
             platform, loads, ["fast", "slow"], ["fast", "slow"], NoJitter()
         )
         assert run.records["fast"].return_end < run.records["slow"].send_end
@@ -132,3 +139,107 @@ class TestTwoPortReplay:
             platform, one_port=False, engine="event"
         ).run_assignment(loads, ["fast", "slow"], ["fast", "slow"])
         _assert_same_run(run, event)
+
+
+class _PerturbOnly:
+    """A user model with only ``perturb``: the replay draws it live."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def perturb(self, duration, kind, worker):
+        return duration * (1.0 + 0.2 * self.rng.random())
+
+
+class _Recorder:
+    """Records each draw's ``(kind, worker)``; every ``zero_every``-th
+    operation takes no time, others keep their duration."""
+
+    def __init__(self, zero_every=0):
+        self.draws = []
+        self.zero_every = zero_every
+
+    def perturb(self, duration, kind, worker):
+        self.draws.append((kind, worker))
+        if self.zero_every and len(self.draws) % self.zero_every == 0:
+            return 0.0
+        return duration
+
+
+_NOISES = {
+    "none": lambda seed: NoJitter(),
+    "uniform": lambda seed: UniformJitter(amplitude=0.05, comm_amplitude=0.2, seed=seed),
+    "gaussian": lambda seed: GaussianJitter(sigma=0.1, seed=seed),
+    "default": default_noise,
+    "composed": lambda seed: ComposedNoise(
+        UniformJitter(amplitude=0.04, comm_amplitude=0.15, seed=seed),
+        AffineOverhead(comm_latency=0.01, compute_latency=0.002),
+    ),
+    "two-stateful": lambda seed: ComposedNoise(
+        UniformJitter(amplitude=0.05, seed=seed), GaussianJitter(sigma=0.05, seed=seed + 1)
+    ),
+    "perturb-only": _PerturbOnly,
+}
+
+
+def _prepared(platform, loads, sigma1, sigma2):
+    """The replay input of one assignment (zero-load workers dropped)."""
+    sigma1 = [name for name in sigma1 if loads[name] > 0]
+    sigma2 = [name for name in sigma2 if loads[name] > 0]
+    durations = np.array(
+        [[loads[name] * getattr(platform[name], cost) for name in sigma1] for cost in "cwd"]
+    )
+    collect = np.array([sigma1.index(name) for name in sigma2], dtype=np.intp)
+    return PreparedTwoPortRun(tuple(sigma1), durations, collect)
+
+
+class TestBatchedReplay:
+    @_SETTINGS
+    @given(st.data(), st.integers(0, 2**31 - 1))
+    def test_batch_matches_event_engine_run_by_run(self, data, seed):
+        """Several occurrences in one call, two slots sharing each stream;
+        the occurrences' noise kinds (and so replay passes) may differ."""
+        rng = np.random.default_rng(seed)
+        occurrences, expected = [], []
+        for number in range(data.draw(st.integers(min_value=2, max_value=4))):
+            noise_kind = data.draw(st.sampled_from(sorted(_NOISES)))
+            platform = data.draw(platforms(min_size=1, max_size=8, z=None))
+            names = platform.worker_names
+            slots = []
+            for _ in range(2):
+                loads = {name: float(rng.uniform(0.0, 4.0)) for name in names}
+                loads[names[int(rng.integers(len(names)))]] = 1.0  # at least one worker
+                slots.append((loads, list(rng.permutation(names)), list(rng.permutation(names))))
+            reference = ClusterSimulation(
+                platform, noise=_NOISES[noise_kind](seed + number), one_port=False, engine="event"
+            )
+            expected.extend(reference.run_assignment(*slot).makespan for slot in slots)
+            runs = [_prepared(platform, *slot) for slot in slots]
+            occurrences.append((_NOISES[noise_kind](seed + number), runs))
+        assert run_fast_twoport(occurrences).makespans.tolist() == expected
+
+    @pytest.mark.parametrize("q", range(1, 7))
+    @pytest.mark.parametrize("collect", ["fifo", "reversed", "shuffled"])
+    @pytest.mark.parametrize("zero_every", [0, 3])
+    def test_tie_order_matches_event_engine(self, q, collect, zero_every):
+        """With c = w = d and integer loads, results become ready exactly
+        when sends end; the draws must follow the engine's tie-breaks."""
+        rng = np.random.default_rng(q)
+        costs = rng.integers(1, 3, q).tolist()
+        platform = StarPlatform(
+            [Worker(name=f"P{k}", c=cost, w=cost, d=cost) for k, cost in enumerate(costs)]
+        )
+        loads = {name: float(rng.integers(1, 4)) for name in platform.worker_names}
+        sigma1 = list(platform.worker_names)
+        sigma2 = {
+            "fifo": sigma1,
+            "reversed": sigma1[::-1],
+            "shuffled": [str(name) for name in rng.permutation(sigma1)],
+        }[collect]
+        batched, event = _Recorder(zero_every), _Recorder(zero_every)
+        times = run_fast_twoport([(batched, [_prepared(platform, loads, sigma1, sigma2)])])
+        reference = ClusterSimulation(
+            platform, noise=event, one_port=False, engine="event"
+        ).run_assignment(loads, sigma1, sigma2)
+        assert batched.draws == event.draws
+        assert times.makespans[0] == reference.makespan

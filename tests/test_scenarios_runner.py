@@ -167,6 +167,24 @@ class TestLpOnlyBytePins:
         assert hashlib.sha256(chunks).hexdigest() == digest
 
 
+class TestTwoPortBytePins:
+    """Measured two-port stores keep their exact bytes through the replay."""
+
+    @pytest.mark.parametrize(
+        "space, digest",
+        [
+            ("fig12-twoport", "ee1f1f9904ca67e0e8a8fb8b549e5baa4381166c784db7ffab3d29834c01d403"),
+            ("fig13b-twoport", "59182c9e7f37de0b0e26e6845277f9db117a269a07e04de9a0e8e9f34a818ddf"),
+        ],
+    )
+    def test_chunks_file_sha256(self, tmp_path, space, digest):
+        flags = ("--count", "6", "--chunk-size", "2")
+        assert main(["scenarios", "run", space, "--store", str(tmp_path), *flags]) == 0
+        spec = named_space(space).derive(count=6)
+        chunks = (tmp_path / spec_hash(spec) / "chunks.jsonl").read_bytes()
+        assert hashlib.sha256(chunks).hexdigest() == digest
+
+
 class TestResumeSemantics:
     def test_interrupted_campaign_resumes_bit_identically(self, tmp_path):
         spec = small_spec()

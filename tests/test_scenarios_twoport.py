@@ -29,9 +29,11 @@ from repro.core.twoport import (
 )
 from repro.experiments.campaign_engine import noise_seed, prepare_cells
 from repro.experiments.common import default_noise
+from repro.core.rounding import round_loads
 from repro.experiments.fig13_ratio import overhead_noise
-from repro.scenarios.runner import run_campaign
+from repro.scenarios.runner import NOISE_FACTORIES, run_campaign
 from repro.scenarios.spec import named_space, spec_hash
+from repro.simulation.cluster import ClusterSimulation
 from repro.simulation.executor import measure_heuristic
 from repro.workloads.matrices import MatrixProductWorkload
 from repro.workloads.platforms import campaign_factors
@@ -124,6 +126,34 @@ class TestReferenceParity:
                     )
                 assert row["values"][f"{name} workers"] == len(report.participants)
             assert row["values"][f"{spec.reference} time"] == reference_time
+
+    @pytest.mark.parametrize(
+        "space, scale_kwargs", [("fig12-twoport", {}), ("fig13b-twoport", {"comm": 10.0})]
+    )
+    def test_real_series_match_event_engine(self, tmp_path, space, scale_kwargs):
+        """Every "<H> real" equals the discrete-event engine's makespan on
+        the same rounded loads and filtered sigmas (nine sizes, q = 11) —
+        the one reference independent of the lockstep replay."""
+        spec = named_space(space).derive(count=2)
+        rows = run_campaign(spec, tmp_path, chunk_size=2).rows()
+        assert len(rows) == 2 * 9 and spec.family.workers == 11
+        factors = reference_factors(spec, "hetero-star", scale_kwargs)
+        total = spec.total_tasks
+        for row in rows:
+            index, size = row["platform"], row["size"]
+            platform = factors[index].platform(MatrixProductWorkload(size))
+            noise = NOISE_FACTORIES[spec.noise](noise_seed(spec.family.seed, index, size))
+            simulation = ClusterSimulation(platform, noise=noise, one_port=False, engine="event")
+            reference_time = row["values"][f"{spec.reference} time"]
+            for name in spec.heuristics:
+                schedule = _reference_heuristic(platform, name).schedule
+                loads = round_loads(schedule.loads, schedule.sigma1, total)
+                run = simulation.run_assignment(
+                    {worker: float(load) for worker, load in loads.items()},
+                    schedule.sigma1,
+                    schedule.sigma2,
+                )
+                assert row["values"][f"{name} real"] == run.makespan / reference_time
 
     def test_every_evaluable_heuristic_matches_reference(self, tmp_path):
         """All six spec heuristics — incl. DEC_C / PLATFORM_ORDER /
