@@ -160,11 +160,14 @@ class ClusterSimulation:
         model through :func:`~repro.simulation.fast_cluster.
         run_fast_timeline` (static timeline, batched noise draws) and the
         two-port model through :func:`~repro.simulation.fast_twoport.
-        run_twoport_assignment` (the lockstep merge-ordered replay, a batch
-        of one) — with the same
-        event times and noise draws as the discrete-event engine,
-        bit-identical and an order of magnitude faster.  ``"event"`` forces
-        the discrete-event engine; ``"fast"`` forces the analytic replay.
+        run_twoport_assignment` (the campaigns' lockstep merge-ordered
+        replay, run as a batch of one) — with the same event times and
+        noise draws as the discrete-event engine, bit-identical.  The
+        one-port replay is an order of magnitude faster than the engine; the
+        two-port batch of one pays the lockstep's per-step array overhead
+        for a single run, which only batches of many runs amortise.
+        ``"event"`` forces the discrete-event engine; ``"fast"`` forces the
+        analytic replay.
     """
 
     def __init__(
