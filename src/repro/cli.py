@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             metavar="N",
-            help="chunk size the campaign was started with (default: 100)",
+            help="chunk size the campaign was started with, used only when the "
+            "directory records none (default: the recorded size, else 100)",
         )
         if verb == "heal":
             sub.add_argument(
@@ -279,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 metavar="SECONDS",
                 help="wall-clock slack before a detached worker's lease counts "
-                "as expired (default: 2.0); live leases are left to their "
-                "workers",
+                "as expired (default: the campaign advert's, else 2.0); live "
+                "leases are left to their workers",
             )
 
     work = scenarios_sub.add_parser(
@@ -548,20 +549,17 @@ def _load_space(space: str):
         raise ExperimentError(f"invalid scenario spec {space!r}: {error}") from None
 
 
-def _show_fabric_state(state) -> None:
-    """Print any fabric leftovers (worker stores, leases) of a campaign."""
-    from repro.scenarios.fabric import read_leases, worker_store_paths
-
-    workers = list(worker_store_paths(state))
-    if workers:
-        print(f"worker stores pending merge: {', '.join(path.name for path in workers)}")
-    leases = read_leases(state)
-    if leases:
+def _show_fabric_state(snapshot) -> None:
+    """Print any fabric leftovers (worker stores, leases) of a campaign snapshot."""
+    if snapshot.workers:
+        print(f"worker stores pending merge: {', '.join(snapshot.workers)}")
+    if snapshot.leases:
         chunks = ", ".join(
-            f"{lease.chunk} (owner {lease.owner}, epoch {lease.epoch})" for lease in leases
+            f"{lease.chunk} (owner {lease.owner}, epoch {lease.epoch})"
+            for lease in snapshot.leases
         )
         print(f"outstanding leases: {chunks}")
-    if workers or leases:
+    if snapshot.workers or snapshot.leases:
         print("recover with 'scenarios heal' (or fold results in with 'scenarios merge')")
 
 
@@ -714,18 +712,18 @@ def _scenarios_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         if state is None:
             print(f"\nno stored results under {store.root} (hash {spec_hash(spec)})")
             return 0
+        from repro.obs.campaign import CampaignSnapshot
+
+        snapshot = CampaignSnapshot.read(state.directory)
         print(f"\nstore: {state.directory}")
         print(f"completed chunks: {len(state.completed_chunks)}")
         if state.recovered_tail is not None:
             print(f"recovered on open: {state.recovered_tail.describe()}")
-            from repro.obs import TELEMETRY_DIR_NAME, dropped_sidecar_lines
-
-            dropped = dropped_sidecar_lines(state.directory / TELEMETRY_DIR_NAME)
             print(
-                f"telemetry sidecar: {dropped} torn line(s) dropped by the "
-                "tolerant reader (telemetry is additive; the campaign is unaffected)"
+                f"telemetry sidecar: {snapshot.dropped_span_lines} torn line(s) dropped by "
+                "the tolerant reader (telemetry is additive; the campaign is unaffected)"
             )
-        _show_fabric_state(state)
+        _show_fabric_state(snapshot)
         count = state.row_count()
         print(f"persisted scenarios: {count} of {spec.scenario_count}")
         if count:
@@ -734,40 +732,44 @@ def _scenarios_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         return 0
 
     if args.scenarios_command in ("merge", "heal"):
-        from repro.scenarios.fabric import DEFAULT_SKEW_SLACK, heal_campaign, merge_worker_stores
+        from repro.exceptions import ExperimentError
+        from repro.obs.campaign import CampaignSnapshot
+        from repro.scenarios.fabric import (
+            heal_campaign,
+            merge_worker_stores,
+            recorded_chunk_size,
+        )
         from repro.scenarios.runner import plan_chunks
 
-        # One normalized shape for every store-path mention (plain str, no
-        # repr) and a copy-pasteable recovery command, same as the run
-        # verb's KeyboardInterrupt path.
-        resume_hint = (
-            f"  repro-experiments scenarios resume {args.space} --store {args.store}"
-        )
-        if args.chunk_size is not None:
-            resume_hint += f" --chunk-size {args.chunk_size}"
         if not store.exists(spec):
             parser.error(
                 f"no campaign for {spec.name!r} (hash {spec_hash(spec)}) under "
                 f"store {store.root}; start one with:\n"
                 f"  repro-experiments scenarios run {args.space} --store {args.store}"
             )
+        state = store.campaign(spec)
+        try:
+            chunk_size = recorded_chunk_size(
+                CampaignSnapshot.read(state.directory), spec, args.chunk_size
+            )
+        except ExperimentError as error:
+            parser.error(str(error))
+        # One normalized shape for every store-path mention (plain str, no
+        # repr) and a copy-pasteable recovery command, same as the run
+        # verb's KeyboardInterrupt path.
+        resume_hint = (
+            f"  repro-experiments scenarios resume {args.space} --store {args.store}"
+        )
+        if args.chunk_size is not None or chunk_size != DEFAULT_CHUNK_SIZE:
+            resume_hint += f" --chunk-size {chunk_size}"
         if args.scenarios_command == "merge":
-            state = store.campaign(spec)
             report = merge_worker_stores(state)
             print(f"store: {state.directory}")
             print(report.describe())
-            total = len(plan_chunks(spec.family.count, args.chunk_size or DEFAULT_CHUNK_SIZE))
-            if len(state.completed_chunks) < total:
+            if len(state.completed_chunks) < len(plan_chunks(spec.family.count, chunk_size)):
                 print(f"campaign incomplete; finish with:\n{resume_hint}")
         else:
-            report = heal_campaign(
-                spec,
-                store,
-                chunk_size=args.chunk_size or DEFAULT_CHUNK_SIZE,
-                skew_slack=(
-                    args.skew_slack if args.skew_slack is not None else DEFAULT_SKEW_SLACK
-                ),
-            )
+            report = heal_campaign(spec, store, chunk_size=chunk_size, skew_slack=args.skew_slack)
             print(f"store: {report.state.directory}")
             print(report.describe())
             if report.live_leases:

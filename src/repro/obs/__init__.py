@@ -50,7 +50,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.spans import (
     chunk_progress,
-    dropped_sidecar_lines,
     read_jsonl_tolerant,
     read_metric_snapshots,
     read_spans,
@@ -104,7 +103,6 @@ __all__ = [
     "chunk_progress",
     "compare_reports",
     "configure_logging",
-    "dropped_sidecar_lines",
     "enabled",
     "get_logger",
     "install",

@@ -1,10 +1,11 @@
 """Campaign forensics: stitch every sidecar into one causal timeline.
 
-The read-only analysis core behind ``scenarios report``.  It merges the
-artifacts a campaign leaves behind — every ``spans-*.jsonl`` /
-``metrics-*.json`` in the ``telemetry/`` sidecar, the canonical
-``chunks.jsonl``, the coordinator journal (``coordinator.jsonl``),
-``fences.jsonl`` and the outstanding lease files — into one
+The read-only analysis core behind ``scenarios report``.  It projects
+one :class:`~repro.obs.campaign.CampaignSnapshot` — every
+``spans-*.jsonl`` / ``metrics-*.json`` in the ``telemetry/`` sidecar,
+the canonical ``chunks.jsonl``, the coordinator journal
+(``coordinator.jsonl``), ``fences.jsonl`` and the outstanding lease
+files, with the chunk plan and lease expiry already resolved — into one
 :class:`CampaignReport`:
 
 * **trace stitching** — spans carry the campaign ``trace`` id and
@@ -26,25 +27,19 @@ Everything is tolerant: a mid-crash directory (torn sidecar lines, a
 missing journal, live leases) yields a report with explicit
 ``incomplete`` markers instead of an error — the same guarantee the
 status view makes.  Like the rest of ``repro.obs`` this module is
-stdlib-only and never imports :mod:`repro.scenarios`; the store, the
-journal and the leases are parsed as plain JSON artifacts.
+stdlib-only and never imports :mod:`repro.scenarios`, and it opens no
+campaign file itself: the snapshot is its only input.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.obs.metrics import merge_snapshots
-from repro.obs.spans import (
-    chunk_progress,
-    read_jsonl_tolerant,
-    read_metric_snapshots,
-    read_spans,
-)
+from repro.obs.spans import span_end
 from repro.obs.trace import parse_ref
 
 __all__ = [
@@ -52,6 +47,7 @@ __all__ = [
     "analyze_campaign",
     "chrome_trace_events",
     "compare_reports",
+    "format_seconds",
     "render_comparison",
     "render_report",
     "report_to_json",
@@ -78,10 +74,6 @@ _FAULT_COUNTERS = (
     "worker.failed",
     "coordinator.expired_leases",
     "coordinator.degraded_chunks",
-    "fabric.retries",
-    "fabric.expired_leases",
-    "fabric.degraded_chunks",
-    "fabric.fences",
     "telemetry.rotated_files",
 )
 
@@ -117,85 +109,6 @@ class CampaignReport:
 
 
 # ----------------------------------------------------------------------
-# raw artifact loading
-
-
-@dataclass
-class _CampaignData:
-    """The raw artifacts of one campaign directory, read tolerantly."""
-
-    directory: Path
-    spans: list[dict]
-    dropped_spans: int
-    snapshots: list[dict]
-    journal: list[tuple[int, dict]]
-    journal_present: bool
-    fences: list[dict]
-    leases: list[dict]
-    advert: dict | None
-    chunk_indices: set[int]
-    rows: int
-    store_torn: bool
-
-
-def _read_json(path: Path) -> dict | None:
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    return record if isinstance(record, dict) else None
-
-
-def _read_journal(path: Path) -> tuple[list[tuple[int, dict]], bool]:
-    """``(line_number, event)`` pairs of one ``coordinator.jsonl``."""
-    try:
-        raw = path.read_bytes()
-    except OSError:
-        return [], False
-    entries: list[tuple[int, dict]] = []
-    for number, line in enumerate(raw.split(b"\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            continue
-        if isinstance(record, dict):
-            entries.append((number, record))
-    return entries, True
-
-
-def _load_campaign(campaign_dir: Path) -> _CampaignData:
-    campaign_dir = Path(campaign_dir)
-    telemetry_dir = campaign_dir / "telemetry"
-    spans, dropped = read_spans(telemetry_dir)
-    journal, journal_present = _read_journal(campaign_dir / "coordinator.jsonl")
-    fences, _ = read_jsonl_tolerant(campaign_dir / "fences.jsonl")
-    leases: list[dict] = []
-    leases_dir = campaign_dir / "leases"
-    if leases_dir.is_dir():
-        for path in sorted(leases_dir.glob("chunk-*.json")):
-            record = _read_json(path)
-            if record is not None:
-                leases.append(record)
-    chunk_indices, rows, store_torn = chunk_progress(campaign_dir / "chunks.jsonl")
-    return _CampaignData(
-        directory=campaign_dir,
-        spans=spans,
-        dropped_spans=dropped,
-        snapshots=read_metric_snapshots(telemetry_dir),
-        journal=journal,
-        journal_present=journal_present,
-        fences=fences,
-        leases=leases,
-        advert=_read_json(campaign_dir / "fabric.json"),
-        chunk_indices=chunk_indices,
-        rows=rows,
-        store_torn=store_torn,
-    )
-
-
-# ----------------------------------------------------------------------
 # causal tree + critical path
 
 
@@ -204,13 +117,6 @@ def _span_key(record: dict) -> tuple[str, int, int] | None:
         return str(record["owner"]), int(record["pid"]), int(record["span"])
     except (KeyError, TypeError, ValueError):
         return None
-
-
-def _span_end(record: dict) -> float:
-    try:
-        return float(record.get("t0", 0.0)) + float(record.get("dt", 0.0))
-    except (TypeError, ValueError):
-        return 0.0
 
 
 def _parent_key(record: dict, index: dict) -> tuple[str, int, int] | None:
@@ -273,7 +179,7 @@ def _critical_path(spans: list[dict]) -> list[dict]:
             children.setdefault(parent, []).append(record)
     if not roots:
         return []
-    current = max(roots, key=_span_end)
+    current = max(roots, key=span_end)
     path: list[dict] = []
     visited: set[tuple[str, int, int]] = set()
     while True:
@@ -282,7 +188,7 @@ def _critical_path(spans: list[dict]) -> list[dict]:
             break
         visited.add(key)
         offspring = children.get(key, [])
-        chosen = max(offspring, key=_span_end) if offspring else None
+        chosen = max(offspring, key=span_end) if offspring else None
         try:
             own = float(current.get("dt", 0.0))
         except (TypeError, ValueError):
@@ -416,9 +322,9 @@ def _fault_detail(event: str, record: dict) -> str:
     return json.dumps({k: v for k, v in record.items() if k not in ("event", "at")})
 
 
-def _fault_table(data: _CampaignData) -> list[dict]:
+def _fault_table(journal: list[tuple[int, dict]]) -> list[dict]:
     faults: list[dict] = []
-    for line, record in data.journal:
+    for line, record in journal:
         event = record.get("event")
         if event in _FAULT_EVENTS or (
             event == "merge" and record.get("fenced")
@@ -450,42 +356,22 @@ def analyze_campaign(
     Read-only and never raises on torn or missing artifacts: partial
     input turns into ``incomplete`` markers, mirroring the status view.
     """
-    now = time.time() if now is None else now
-    data = _load_campaign(Path(campaign_dir))
-    report = CampaignReport(directory=str(data.directory), generated_at=now)
+    # Imported here so that `import repro.obs` (every CLI start-up and
+    # campaign) does not pay for the snapshot module.
+    from repro.obs.campaign import CampaignSnapshot
 
-    report.span_count = len(data.spans)
-    report.dropped_span_lines = data.dropped_spans
-    report.chunks_done = len(data.chunk_indices)
-    report.rows = data.rows
-    report.journal_events = len(data.journal)
-    if data.advert is not None:
-        try:
-            report.total_chunks = int(data.advert["total_chunks"])
-        except (KeyError, TypeError, ValueError):
-            pass
-    if report.total_chunks is None:
-        for _, record in data.journal:
-            if record.get("event") in ("plan", "complete"):
-                try:
-                    report.total_chunks = int(record["total_chunks"])
-                except (KeyError, TypeError, ValueError):
-                    pass
-    if report.total_chunks is None:
-        # In-process runner campaigns publish no advert and no journal —
-        # their root span carries the plan size instead.
-        for record in data.spans:
-            if record.get("name") in ("campaign", "coordinate"):
-                attrs = record.get("attrs")
-                if isinstance(attrs, dict):
-                    try:
-                        report.total_chunks = int(attrs["total_chunks"])
-                        break
-                    except (KeyError, TypeError, ValueError):
-                        pass
+    snapshot = CampaignSnapshot.read(campaign_dir, now=now)
+    report = CampaignReport(directory=str(snapshot.directory), generated_at=snapshot.now)
+
+    report.span_count = len(snapshot.spans)
+    report.dropped_span_lines = snapshot.dropped_span_lines
+    report.chunks_done = len(snapshot.canonical.ranges)
+    report.rows = snapshot.canonical.rows
+    report.journal_events = len(snapshot.journal)
+    report.total_chunks = snapshot.total_chunks
 
     traces: dict[str, int] = {}
-    for record in data.spans:
+    for record in snapshot.spans:
         trace = record.get("trace")
         if trace:
             traces[str(trace)] = traces.get(str(trace), 0) + 1
@@ -493,18 +379,13 @@ def analyze_campaign(
             report.untraced_spans += 1
     report.trace_ids = sorted(traces, key=lambda t: -traces[t])
 
-    stamps = [
-        (float(r["t0"]), _span_end(r))
-        for r in data.spans
-        if isinstance(r.get("t0"), (int, float))
-    ]
-    if stamps:
-        report.begin = min(t0 for t0, _ in stamps)
-        report.end = max(t1 for _, t1 in stamps)
+    extent = snapshot.span_extent()
+    if extent is not None:
+        report.begin, report.end = extent
         report.duration = round(report.end - report.begin, 6)
 
     totals: dict[str, tuple[float, int]] = {}
-    for record in data.spans:
+    for record in snapshot.spans:
         name = record.get("name")
         if not isinstance(name, str):
             continue
@@ -525,7 +406,7 @@ def analyze_campaign(
         for name, (total, count) in sorted(totals.items(), key=lambda kv: -kv[1][0])
     ]
 
-    report.critical_path = _critical_path(data.spans)
+    report.critical_path = _critical_path(snapshot.spans)
     report.critical_path_seconds = round(
         sum(node["exclusive"] for node in report.critical_path), 6
     )
@@ -543,46 +424,32 @@ def analyze_campaign(
         for name, total in sorted(path_phases.items(), key=lambda kv: -kv[1])
     ]
 
-    report.writers = _worker_utilization(data.spans, idle_gap_seconds)
-    report.stragglers = _stragglers(data.spans, straggler_factor)
-    report.faults = _fault_table(data)
+    report.writers = _worker_utilization(snapshot.spans, idle_gap_seconds)
+    report.stragglers = _stragglers(snapshot.spans, straggler_factor)
+    report.faults = _fault_table(snapshot.journal)
 
-    merged = merge_snapshots(data.snapshots)
+    merged = merge_snapshots(snapshot.metrics)
     counters = merged.get("counters", {})
     report.fault_counters = {
         name: counters[name] for name in _FAULT_COUNTERS if counters.get(name)
     }
 
-    skew_slack = 2.0
-    if data.advert is not None:
-        try:
-            skew_slack = float(data.advert.get("skew_slack", skew_slack))
-        except (TypeError, ValueError):
-            pass
-    for lease in data.leases:
-        deadline = lease.get("deadline")
-        try:
-            expired = deadline is not None and now > float(deadline) + skew_slack
-        except (TypeError, ValueError):
-            expired = False
-        if expired:
-            report.expired_leases += 1
-        else:
-            report.live_leases += 1
+    report.expired_leases = sum(snapshot.expired(lease) for lease in snapshot.leases)
+    report.live_leases = len(snapshot.leases) - report.expired_leases
 
     fabric_artifacts = (
-        data.advert is not None
-        or data.leases
-        or data.fences
-        or (data.directory / "workers").is_dir()
+        snapshot.advert is not None
+        or snapshot.leases
+        or snapshot.fences
+        or snapshot.workers
     )
-    if data.dropped_spans:
+    if snapshot.dropped_span_lines:
         report.incomplete.append(
-            f"telemetry: {data.dropped_spans} torn sidecar line(s) dropped"
+            f"telemetry: {snapshot.dropped_span_lines} torn sidecar line(s) dropped"
         )
-    if data.store_torn:
+    if snapshot.canonical.torn:
         report.incomplete.append("store: chunks.jsonl carries a torn tail")
-    if not data.journal_present and fabric_artifacts:
+    if not snapshot.journal_present and fabric_artifacts:
         report.incomplete.append(
             "journal: coordinator.jsonl missing — fault attribution unavailable"
         )
@@ -594,7 +461,7 @@ def analyze_campaign(
         report.incomplete.append(
             f"leases: {report.expired_leases} expired lease(s) awaiting takeover or heal"
         )
-    if not data.spans:
+    if not snapshot.spans:
         report.incomplete.append(
             "telemetry: no spans recorded — run with --telemetry on for a full report"
         )
@@ -677,13 +544,15 @@ def chrome_trace_events(campaign_dir: str | Path) -> list[dict]:
     global ``"i"`` instants on pid 0, and everything is sorted by
     timestamp.  Timestamps are microseconds rebased to the first event.
     """
-    data = _load_campaign(Path(campaign_dir))
+    from repro.obs.campaign import CampaignSnapshot
+
+    snapshot = CampaignSnapshot.read(campaign_dir)
     starts = [
-        float(r["t0"]) for r in data.spans if isinstance(r.get("t0"), (int, float))
+        float(r["t0"]) for r in snapshot.spans if isinstance(r.get("t0"), (int, float))
     ]
     starts.extend(
         float(r["at"])
-        for _, r in data.journal
+        for _, r in snapshot.journal
         if isinstance(r.get("at"), (int, float))
     )
     if not starts:
@@ -709,7 +578,7 @@ def chrome_trace_events(campaign_dir: str | Path) -> list[dict]:
             )
         return pids[writer]
 
-    if data.journal:
+    if snapshot.journal:
         events.append(
             {
                 "name": "process_name",
@@ -721,7 +590,7 @@ def chrome_trace_events(campaign_dir: str | Path) -> list[dict]:
             }
         )
 
-    for record in data.spans:
+    for record in snapshot.spans:
         key = _span_key(record)
         if key is None or not isinstance(record.get("t0"), (int, float)):
             continue
@@ -750,7 +619,7 @@ def chrome_trace_events(campaign_dir: str | Path) -> list[dict]:
             }
         )
 
-    for line, record in data.journal:
+    for line, record in snapshot.journal:
         at = record.get("at")
         if not isinstance(at, (int, float)):
             continue
@@ -785,7 +654,8 @@ def write_chrome_trace(campaign_dir: str | Path, path: str | Path) -> int:
 # terminal rendering
 
 
-def _format_seconds(seconds: float | None) -> str:
+def format_seconds(seconds: float | None) -> str:
+    """A duration for terminal output (``?`` when unknown)."""
     if seconds is None:
         return "?"
     if seconds >= 3600:
@@ -810,17 +680,17 @@ def render_report(report: CampaignReport) -> str:
         f" {report.span_count} span(s) from {len(report.writers)} writer(s)"
     )
     if report.duration is not None:
-        lines.append(f"wall clock: {_format_seconds(report.duration)}")
+        lines.append(f"wall clock: {format_seconds(report.duration)}")
 
     if report.critical_path:
         lines.append(
             f"critical path: {len(report.critical_path)} span(s),"
-            f" {_format_seconds(report.critical_path_seconds)} exclusive"
+            f" {format_seconds(report.critical_path_seconds)} exclusive"
         )
         for entry in report.critical_path_phases:
             share = "" if entry["share_pct"] is None else f"  {entry['share_pct']:5.1f}%"
             lines.append(
-                f"  {entry['name']:10s} {_format_seconds(entry['exclusive_seconds']):>8s}{share}"
+                f"  {entry['name']:10s} {format_seconds(entry['exclusive_seconds']):>8s}{share}"
             )
         hops = []
         for node in report.critical_path[:8]:
@@ -834,7 +704,7 @@ def render_report(report: CampaignReport) -> str:
         for entry in report.phases:
             share = "" if entry["share_pct"] is None else f"  {entry['share_pct']:5.1f}%"
             lines.append(
-                f"  {entry['name']:10s} {_format_seconds(entry['total_seconds']):>8s}"
+                f"  {entry['name']:10s} {format_seconds(entry['total_seconds']):>8s}"
                 f"  {entry['count']} span(s){share}"
             )
 
@@ -851,12 +721,12 @@ def render_report(report: CampaignReport) -> str:
                 worst = max(gap["seconds"] for gap in writer["idle_gaps"])
                 gap_note = (
                     f", {len(writer['idle_gaps'])} idle gap(s)"
-                    f" (worst {_format_seconds(worst)})"
+                    f" (worst {format_seconds(worst)})"
                 )
             lines.append(
                 f"  {writer['owner']}/{writer['pid']}: {writer['spans']} span(s),"
-                f" busy {_format_seconds(writer['busy_seconds'])}"
-                f" of {_format_seconds(writer['extent_seconds'])} ({util}){gap_note}"
+                f" busy {format_seconds(writer['busy_seconds'])}"
+                f" of {format_seconds(writer['extent_seconds'])} ({util}){gap_note}"
             )
 
     if report.stragglers:
@@ -865,7 +735,7 @@ def render_report(report: CampaignReport) -> str:
             chunk = "?" if entry["chunk"] is None else entry["chunk"]
             lines.append(
                 f"  {entry['name']} chunk {chunk} by {entry['owner']}:"
-                f" {_format_seconds(entry['seconds'])}"
+                f" {format_seconds(entry['seconds'])}"
                 f" ({entry['ratio']:.1f}x median)"
             )
 
@@ -901,8 +771,8 @@ def render_comparison(comparison: dict) -> str:
     ]
     duration = comparison["duration"]
     lines.append(
-        f"wall clock: {_format_seconds(duration['baseline'])} ->"
-        f" {_format_seconds(duration['current'])}"
+        f"wall clock: {format_seconds(duration['baseline'])} ->"
+        f" {format_seconds(duration['current'])}"
     )
     rates = comparison["rows_per_second"]
     if rates["baseline"] is not None or rates["current"] is not None:
@@ -911,8 +781,8 @@ def render_comparison(comparison: dict) -> str:
         lines.append(f"throughput: {before} -> {after} rows/s")
     lines.append("per-phase totals:")
     for entry in comparison["phases"]:
-        before = _format_seconds(entry["baseline_seconds"])
-        after = _format_seconds(entry["current_seconds"])
+        before = format_seconds(entry["baseline_seconds"])
+        after = format_seconds(entry["current_seconds"])
         delta = "" if entry["delta_pct"] is None else f"  ({entry['delta_pct']:+.1f}%)"
         lines.append(f"  {entry['name']:10s} {before:>8s} -> {after:>8s}{delta}")
     return "\n".join(lines)

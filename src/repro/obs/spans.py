@@ -8,26 +8,30 @@ as one JSON object per line into ``telemetry/spans-<owner>-<pid>.jsonl``
 same torn-tail failure mode has the same answer: readers skip unreadable
 lines and report how many they dropped instead of aborting anything.
 
-:func:`read_jsonl_tolerant` is that reader (shared with ``scenarios
-show``'s torn-tail diagnostics); :func:`read_spans` and
-:func:`read_metric_snapshots` glob a whole sidecar directory — the read
-side used by ``scenarios status``; :func:`chunk_progress` reads a store's
-progress the same tolerant way.
+:func:`read_jsonl_lines` is that reader; it also reads the campaign
+files (:func:`highest_epochs`, :func:`read_chunk_ranges`).
+:func:`read_spans` and :func:`read_metric_snapshots` glob a whole
+sidecar directory — all of them feed
+:class:`~repro.obs.campaign.CampaignSnapshot`.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Iterable
 
 __all__ = [
     "SPAN_FILE_GLOB",
     "METRICS_FILE_GLOB",
     "chunk_progress",
-    "dropped_sidecar_lines",
+    "highest_epochs",
+    "read_chunk_ranges",
+    "read_jsonl_lines",
     "read_jsonl_tolerant",
     "read_metric_snapshots",
     "read_spans",
+    "span_end",
 ]
 
 #: Sidecar file patterns (one file per ``(owner, pid)`` writer).
@@ -35,58 +39,99 @@ SPAN_FILE_GLOB = "spans-*.jsonl"
 METRICS_FILE_GLOB = "metrics-*.json"
 
 
-def read_jsonl_tolerant(path: Path) -> tuple[list[dict], int]:
-    """Parse one JSONL file, skipping unreadable lines.
+def read_jsonl_lines(path: Path) -> list[tuple[int, dict | None]] | None:
+    """``(line_number, record)`` for every non-blank line of one JSONL file.
 
-    Returns ``(records, dropped)`` where ``dropped`` counts non-empty
-    lines that failed to parse as a JSON object — a torn tail (the
-    writer crashed mid-line) or bit rot.  A missing file reads as empty.
-    Never raises: torn telemetry must never abort a campaign.
+    ``record`` is ``None`` for a line that does not parse as a JSON
+    object — a torn tail (the writer crashed mid-line) or bit rot; line
+    numbers count from 1.  A missing file reads as ``None``.  Never
+    raises: the line reader behind every tolerant campaign-file reader.
     """
     try:
         raw = Path(path).read_bytes()
     except OSError:
-        return [], 0
-    records: list[dict] = []
-    dropped = 0
-    for line in raw.split(b"\n"):
+        return None
+    lines: list[tuple[int, dict | None]] = []
+    for number, line in enumerate(raw.split(b"\n"), start=1):
         if not line.strip():
             continue
         try:
-            record = json.loads(line.decode("utf-8", errors="strict"))
-        except (ValueError, UnicodeDecodeError):
-            dropped += 1
+            record = json.loads(line.decode("utf-8"))
+        except ValueError:
+            record = None
+        lines.append((number, record if isinstance(record, dict) else None))
+    return lines
+
+
+def read_jsonl_tolerant(path: Path) -> tuple[list[dict], int]:
+    """Parse one JSONL file, skipping unreadable lines.
+
+    Returns ``(records, dropped)`` where ``dropped`` counts the non-empty
+    lines :func:`read_jsonl_lines` could not parse.  A missing file reads
+    as empty.  Never raises: torn telemetry must never abort a campaign.
+    """
+    lines = read_jsonl_lines(path) or []
+    records = [record for _, record in lines if record is not None]
+    return records, len(lines) - len(records)
+
+
+def span_end(record: dict) -> float:
+    """Wall-clock end of one span record (``0.0`` when unreadable)."""
+    try:
+        return float(record.get("t0", 0.0)) + float(record.get("dt", 0.0))
+    except (TypeError, ValueError):
+        return 0.0
+
+
+def highest_epochs(
+    lines: Iterable[tuple[int, dict | None]],
+) -> tuple[dict[int, int], list[int]]:
+    """Chunk → highest epoch over ``{"chunk", "epoch"}`` lines.
+
+    The reader of ``fences.jsonl`` and of the stores' ``epochs.jsonl``
+    sidecars.  Also returns the numbers of the lines it could not read,
+    for callers that warn about them.
+    """
+    epochs: dict[int, int] = {}
+    unreadable: list[int] = []
+    for number, record in lines:
+        try:
+            chunk, epoch = int(record["chunk"]), int(record["epoch"])
+        except (KeyError, TypeError, ValueError):
+            unreadable.append(number)
             continue
-        if isinstance(record, dict):
-            records.append(record)
-        else:
-            dropped += 1
-    return records, dropped
+        epochs[chunk] = max(epoch, epochs.get(chunk, epoch))
+    return epochs, unreadable
+
+
+def read_chunk_ranges(path: Path) -> tuple[dict[int, tuple[int, int]], int, bool]:
+    """``(chunk index → [start, stop), row count, torn?)`` of one ``chunks.jsonl``."""
+    ranges: dict[int, tuple[int, int]] = {}
+    rows = 0
+    torn = False
+    for _, record in read_jsonl_lines(path) or ():
+        if record is None:
+            torn = True
+            continue
+        try:
+            ranges[int(record["chunk"])] = (int(record["start"]), int(record["stop"]))
+        except (KeyError, TypeError, ValueError):
+            continue
+        if isinstance(record.get("rows"), list):
+            rows += len(record["rows"])
+    return ranges, rows, torn
 
 
 def chunk_progress(chunks_path: str | Path) -> tuple[set[int], int, bool]:
     """``(chunk indices, row count, torn?)`` of one ``chunks.jsonl``.
 
-    The read-only progress probe of ``scenarios status`` and ``scenarios
-    report``: an observer must never open a live store writable (a
-    repairing open would truncate a torn tail the owner is still
-    appending behind).  Torn or malformed lines are skipped and flag the
-    file as torn; a missing file yields zeros.
+    An observer must never open a live store writable (a repairing open
+    would truncate a torn tail the owner is still appending behind), so
+    torn or malformed lines are skipped and flag the file as torn; a
+    missing file yields zeros.
     """
-    records, dropped = read_jsonl_tolerant(Path(chunks_path))
-    chunks: set[int] = set()
-    rows = 0
-    for record in records:
-        if "chunk" not in record:
-            continue
-        try:
-            chunks.add(int(record["chunk"]))
-        except (TypeError, ValueError):
-            continue
-        payload = record.get("rows")
-        if isinstance(payload, list):
-            rows += len(payload)
-    return chunks, rows, dropped > 0
+    ranges, rows, torn = read_chunk_ranges(Path(chunks_path))
+    return set(ranges), rows, torn
 
 
 def read_spans(telemetry_dir: Path) -> tuple[list[dict], int]:
@@ -119,9 +164,3 @@ def read_metric_snapshots(telemetry_dir: Path) -> list[dict]:
             if snapshot is not None:
                 snapshots.append(snapshot)
     return snapshots
-
-
-def dropped_sidecar_lines(telemetry_dir: Path) -> int:
-    """How many unreadable lines the sidecar currently carries (all files)."""
-    _, dropped = read_spans(telemetry_dir)
-    return dropped

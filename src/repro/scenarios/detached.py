@@ -31,10 +31,14 @@ pieces live in :mod:`repro.scenarios.fabric`):
   coordinator — or ``scenarios heal`` — reconstructs campaign state
   instead of inferring it.
 
-Worker stores that are *live* (their owner may be mid-append) are only
-ever observed through **read-only snapshots**
-(``CampaignState(read_only=True)``): an observing open must never
-truncate a torn tail the owner is still writing behind.
+Worker stores that are *live* (their owner may be mid-append) are never
+opened writable by anyone but their owner: the coordinator folds them in
+through the one read-only merge
+(:func:`~repro.scenarios.fabric.merge_worker_stores`), and a chunk
+counts as durable by the one fence-aware rule
+(:func:`~repro.obs.campaign.durable_chunks`) that ``scenarios status``
+also uses.  An observing open must never truncate a torn tail the owner
+is still writing behind.
 
 Chunk results are deterministic functions of the spec, so every recovery
 path — crash, hang, partition, zombie, clock skew, coordinator kill +
@@ -63,8 +67,8 @@ from typing import Callable, Sequence
 import repro.obs as obs
 from repro.exceptions import ExperimentError
 from repro.obs import get_logger
+from repro.obs.campaign import FabricAdvert, durable_chunks, read_store_progress
 from repro.scenarios.fabric import (
-    DEFAULT_SKEW_SLACK,
     CoordinatorJournal,
     FaultInjector,
     FaultPolicy,
@@ -72,6 +76,7 @@ from repro.scenarios.fabric import (
     _DEGRADED_OWNER,
     _cleanup_if_complete,
     lease_directory,
+    merge_worker_stores,
     read_fences,
     read_lease,
     read_leases,
@@ -93,7 +98,6 @@ __all__ = [
     "FabricAdvert",
     "WorkerReport",
     "default_owner",
-    "merge_worker_snapshots",
     "run_detached_campaign",
     "work_loop",
 ]
@@ -126,69 +130,6 @@ def _sanitize_owner(owner: str) -> str:
     if not cleaned:
         raise ExperimentError(f"owner id {owner!r} has no filesystem-safe characters")
     return cleaned
-
-
-# ---------------------------------------------------------------------------
-# The campaign advert: fabric.json
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FabricAdvert:
-    """The coordinator's published campaign parameters (``fabric.json``).
-
-    Workers must agree with the coordinator — and with each other — on
-    the chunk plan and the lease protocol's constants; the advert is the
-    single source of truth, written atomically once per campaign.
-    """
-
-    chunk_size: int
-    total_chunks: int
-    ttl: float
-    skew_slack: float = DEFAULT_SKEW_SLACK
-    max_attempts: int = 3
-    #: Campaign trace id + the coordinator root span's cross-process ref
-    #: (``owner:pid:span_id``) — how detached ``scenarios work`` claimants
-    #: join the campaign's causal tree.  Optional and ignored by the
-    #: protocol itself; old adverts without them stay readable.
-    trace: str | None = None
-    parent: str | None = None
-
-    def write(self, directory: Path) -> None:
-        payload = json.dumps(dataclasses.asdict(self), sort_keys=True) + "\n"
-        path = directory / "fabric.json"
-        fd, temp_name = tempfile.mkstemp(dir=directory, prefix=".fabric.json-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, path)
-        except BaseException:
-            if os.path.exists(temp_name):
-                os.unlink(temp_name)
-            raise
-
-    @classmethod
-    def read(cls, directory: Path) -> "FabricAdvert | None":
-        """The advert, or ``None`` when absent or (transiently) unreadable."""
-        path = directory / "fabric.json"
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            return cls(
-                chunk_size=int(record["chunk_size"]),
-                total_chunks=int(record["total_chunks"]),
-                ttl=float(record["ttl"]),
-                skew_slack=float(record["skew_slack"]),
-                max_attempts=int(record["max_attempts"]),
-                trace=record.get("trace") or None,
-                parent=record.get("parent") or None,
-            )
-        except FileNotFoundError:
-            return None
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as error:
-            logger.warning("unreadable fabric advert", path=path, error=error)
-            return None
 
 
 # ---------------------------------------------------------------------------
@@ -272,61 +213,16 @@ def _claim_backoff(owner: str, round_number: int, poll: float) -> float:
     return poll * (0.5 + draw)
 
 
-# ---------------------------------------------------------------------------
-# Read-only observation of live worker stores
-# ---------------------------------------------------------------------------
-
-
-def _worker_snapshots(state: CampaignState) -> list[CampaignState]:
-    """Read-only snapshots of every per-worker store under a campaign.
-
-    Live stores are never opened writable by an observer: a repairing
-    open would truncate a torn tail the owning worker is still appending
-    behind.
-    """
-    return [
-        CampaignState(path, state.spec, read_only=True)
-        for path in worker_store_paths(state)
-    ]
-
-
-def merge_worker_snapshots(state: CampaignState) -> MergeReport:
-    """Merge worker stores into the canonical one via read-only snapshots.
-
-    The detached coordinator's merge: fences are honoured
-    (``skip_fenced`` — a zombie's stale-epoch chunk is skipped, the
-    re-issued epoch's byte-identical copy is canonical) and the sources
-    stay untouched on disk.
-    """
-    fences = read_fences(state)
-    telemetry = obs.active()
-    snapshots = _worker_snapshots(state)
-    with telemetry.span("merge", workers=len(snapshots)) as span:
-        report = state.merge(*snapshots, fences=fences, skip_fenced=True)
-        span.set(added=len(report.added), fenced=len(report.fenced))
-    if telemetry.enabled and report.added:
-        telemetry.counter("coordinator.merged_chunks", len(report.added))
-    return report
-
-
 def _observed_chunks(state: CampaignState, fences: dict[int, int]) -> set[int]:
     """Chunks durable *somewhere*: canonical, or unfenced in a worker store.
 
     A chunk a zombie appended under a superseded epoch does **not** count
     — its bytes will be fenced out at merge time, so the chunk still
-    needs a legitimate evaluation.
+    needs a legitimate evaluation.  Worker stores are read without being
+    opened (:func:`~repro.obs.campaign.read_store_progress`).
     """
-    done = set(state.completed_chunks)
-    for snapshot in _worker_snapshots(state):
-        for index in snapshot.completed_chunks:
-            if index in done:
-                continue
-            epoch = snapshot.chunk_epoch(index)
-            fence = fences.get(index)
-            if epoch is not None and fence is not None and epoch < fence:
-                continue
-            done.add(index)
-    return done
+    workers = [read_store_progress(path) for path in worker_store_paths(state)]
+    return durable_chunks(state.completed_chunks, workers, fences)
 
 
 # ---------------------------------------------------------------------------
@@ -924,7 +820,7 @@ def run_detached_campaign(
             prior_trace = prior.plan.get("trace") or None
         telemetry.adopt_trace(prior_trace or obs.new_trace_id())
 
-    merge_worker_snapshots(state)
+    merge_worker_stores(state)
     completed = validate_plan(state, chunks)
     before = len(completed)
     result = DetachedProgress(
@@ -1017,7 +913,7 @@ def run_detached_campaign(
                 state.directory, spec, workers, faults, policy.poll_interval, max_chunks
             )
         while True:
-            merged = merge_worker_snapshots(state)
+            merged = merge_worker_stores(state)
             if merged.added:
                 journal.append("merge", added=len(merged.added), fenced=len(merged.fenced))
             done = state.completed_chunks
@@ -1060,14 +956,14 @@ def run_detached_campaign(
                 raise ExperimentError(
                     f"detached campaign did not complete within {wait_timeout:.1f}s "
                     f"({len(done)}/{len(chunks)} chunks done); workers may still "
-                    f"be running — resume with: scenarios heal --store "
-                    f"{state.directory.parent} --space {spec.name}"
+                    f"be running — resume with: scenarios heal {state.spec_path} "
+                    f"--store {state.directory.parent}"
                 )
             time.sleep(policy.poll_interval)
     finally:
         if local is not None:
             local.stop()
-        final = merge_worker_snapshots(state)
+        final = merge_worker_stores(state)
         result.merge = final
         result.completed_after = len(state.completed_chunks)
         journal.append(

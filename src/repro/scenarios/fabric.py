@@ -11,7 +11,9 @@ directory; the coordinator and the worker loop that drive them live in
   naming the owner, an epoch and a wall-clock deadline fixed at claim
   time, one TTL after the grant; nobody may declare a lease expired
   before ``deadline + skew_slack``, so modest clock skew between
-  machines never causes a false takeover;
+  machines never causes a false takeover.  The :class:`Lease` file
+  format (and the advert's) lives in :mod:`repro.obs.campaign`, next to
+  the one read-only reader of a campaign directory;
 * **epoch fences** (``fences.jsonl``) — every re-issued lease bumps the
   chunk's epoch and records a fence, so a zombie attempt's late append
   can never enter the canonical store;
@@ -21,13 +23,20 @@ directory; the coordinator and the worker loop that drive them live in
 * the **coordinator journal** (``coordinator.jsonl``), from which a
   restarted coordinator — or :func:`heal_campaign` — reconstructs its
   decisions instead of inferring them;
-* the **merge** of per-worker stores (``workers/<owner>/``) into the
-  canonical one (:meth:`CampaignState.merge` — chunk-index-keyed,
-  idempotent, duplicate-tolerant, spec-hash-checked), producing a
-  ``chunks.jsonl`` byte-identical to an uninterrupted single-writer run;
+* the one **merge** of per-worker stores (``workers/<owner>/``) into
+  the canonical one (:func:`merge_worker_stores`): the coordinator,
+  ``scenarios merge`` and heal all fold **read-only snapshots** of the
+  worker stores in with :meth:`CampaignState.merge` (chunk-index-keyed,
+  idempotent, duplicate-tolerant, spec-hash-checked, fences always
+  honoured), producing a ``chunks.jsonl`` byte-identical to an
+  uninterrupted single-writer run.  A source store is never repaired
+  or truncated: a worker's own writable reopen repairs its tail, and a
+  completed campaign drops ``workers/`` altogether;
 * :func:`heal_campaign`, which recovers a campaign whose coordinator
   died: worker stores are merged, expired leases are re-evaluated in the
-  healing parent, and stale lease files are cleared.
+  healing parent, and stale lease files are cleared.  Its leases, torn
+  leases and chunk plan come from one read-only
+  :class:`~repro.obs.campaign.CampaignSnapshot`.
 
 Chunk results are deterministic functions of the spec, so every recovery
 path converges to the same bytes — the fault matrices of the test-suite
@@ -36,20 +45,20 @@ pin exactly that.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import repro.obs as obs
 from repro.exceptions import ExperimentError
 from repro.obs import get_logger
+from repro.obs.campaign import DEFAULT_SKEW_SLACK, CampaignSnapshot, Lease
+from repro.obs.spans import highest_epochs, read_jsonl_lines
 from repro.scenarios.runner import DEFAULT_CHUNK_SIZE, evaluate_range, plan_chunks
 from repro.scenarios.spec import ScenarioSpec
 from repro.scenarios.store import CampaignState, CampaignStore, MergeReport
@@ -82,11 +91,6 @@ logger = get_logger(__name__)
 #: ``partition`` keeps computing without watching its lease, and
 #: ``zombie`` wakes up after being fenced and appends anyway.
 FAULT_KINDS = ("crash-pre", "crash-post", "hang", "poison", "abandon", "partition", "zombie")
-
-#: Default wall-clock slack added to a lease deadline before another
-#: party may declare it expired: modest clock skew between machines must
-#: never cause a false takeover.
-DEFAULT_SKEW_SLACK = 2.0
 
 #: Reserved per-worker store names used by the coordinator itself.
 _DEGRADED_OWNER = "degraded"
@@ -327,95 +331,6 @@ class FaultInjector:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Lease:
-    """One chunk range leased to one worker.
-
-    ``epoch`` increments every time the chunk is re-leased (retry after a
-    crash, takeover after an expired deadline), so a stale worker's late
-    write is recognisably outdated — the **fencing token** of the fabric.
-
-    ``granted_at``/``deadline`` are wall-clock epoch seconds, and
-    ``deadline`` is ``granted_at + ttl``: the attempt's whole budget,
-    never extended.  Expiry is never declared before ``deadline +
-    skew_slack`` (:meth:`expired`), so modest clock skew between
-    machines cannot cause a false takeover.
-    """
-
-    chunk: int
-    start: int
-    stop: int
-    owner: str
-    epoch: int
-    granted_at: float | None = None
-    deadline: float | None = None
-    ttl: float | None = None
-
-    def expired(self, now: float, skew_slack: float = DEFAULT_SKEW_SLACK) -> bool:
-        """Wall-clock expiry with skew slack.
-
-        A lease file without wall-clock fields (written by an older
-        release) is treated as expired: no live worker holds it.
-        """
-        if self.deadline is None:
-            return True
-        return now > self.deadline + skew_slack
-
-    def reissued(self, owner: str, now: float, ttl: float) -> "Lease":
-        """A takeover lease: same chunk, new owner, **bumped epoch**."""
-        return dataclasses.replace(
-            self,
-            owner=owner,
-            epoch=self.epoch + 1,
-            granted_at=now,
-            deadline=now + ttl,
-            ttl=ttl,
-        )
-
-    def path(self, directory: Path) -> Path:
-        return directory / f"chunk-{self.chunk:06d}.json"
-
-    def payload(self) -> str:
-        return json.dumps(dataclasses.asdict(self), sort_keys=True) + "\n"
-
-    def write(self, directory: Path) -> None:
-        """Atomically write (or rewrite) the lease file.
-
-        Temp file + fsync + ``os.replace``: a reader never observes a
-        half-written lease from *this* path — takeovers and surrenders
-        rewrite a lease other parties are reading.  (A worker dying
-        mid-write on a non-atomic network filesystem can still tear one;
-        :func:`read_lease` treats such files as expired.)
-        """
-        path = self.path(directory)
-        fd, temp_name = tempfile.mkstemp(dir=directory, prefix=f".{path.name}-")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(self.payload())
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(temp_name, path)
-        except BaseException:
-            if os.path.exists(temp_name):
-                os.unlink(temp_name)
-            raise
-
-    @classmethod
-    def read(cls, path: Path) -> "Lease":
-        record = json.loads(path.read_text(encoding="utf-8"))
-        deadline = record.get("deadline")
-        return cls(
-            chunk=int(record["chunk"]),
-            start=int(record["start"]),
-            stop=int(record["stop"]),
-            owner=str(record["owner"]),
-            epoch=int(record["epoch"]),
-            granted_at=None if record.get("granted_at") is None else float(record["granted_at"]),
-            deadline=None if deadline is None else float(deadline),
-            ttl=None if record.get("ttl") is None else float(record["ttl"]),
-        )
-
-
 def _campaign_directory(campaign: CampaignState | str | Path) -> Path:
     """The campaign directory of a :class:`CampaignState` or a path."""
     return Path(getattr(campaign, "directory", campaign))
@@ -491,22 +406,10 @@ def record_fence(campaign: CampaignState | str | Path, chunk: int, epoch: int) -
 
 def read_fences(campaign: CampaignState | str | Path) -> dict[int, int]:
     """Chunk → minimum acceptable lease epoch (highest fence recorded)."""
-    fences: dict[int, int] = {}
     path = fences_path(campaign)
-    if not path.exists():
-        return fences
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                chunk, epoch = int(record["chunk"]), int(record["epoch"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                logger.warning("skipping unreadable fence line", path=path, line=number + 1)
-                continue
-            fences[chunk] = max(epoch, fences.get(chunk, epoch))
+    fences, unreadable = highest_epochs(read_jsonl_lines(path) or ())
+    for number in unreadable:
+        logger.warning("skipping unreadable fence line", path=path, line=number)
     return fences
 
 
@@ -561,42 +464,32 @@ class CoordinatorJournal:
         with a warning, exactly like the stores' torn tails.
         """
         state = JournalState()
-        if not self.path.exists():
-            return state
-        with open(self.path, "r", encoding="utf-8") as handle:
-            for number, line in enumerate(handle):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    event = record["event"]
-                except (json.JSONDecodeError, KeyError, TypeError):
-                    logger.warning(
-                        "skipping unreadable journal line", path=self.path, line=number + 1
-                    )
-                    continue
-                state.events.append(record)
-                if event == "plan":
-                    state.plan = record
-                    state.completed = False
-                elif event == "requeue":
-                    state.retries += 1
-                    fence = int(record.get("fence", 0))
-                    chunk = int(record["chunk"])
-                    state.fences[chunk] = max(fence, state.fences.get(chunk, fence))
-                elif event == "expire":
-                    state.expired_leases += 1
-                elif event == "degrade":
-                    chunk = int(record["chunk"])
-                    if chunk not in state.degraded_chunks:
-                        state.degraded_chunks.append(chunk)
-                elif event == "fence":
-                    fence = int(record["epoch"])
-                    chunk = int(record["chunk"])
-                    state.fences[chunk] = max(fence, state.fences.get(chunk, fence))
-                elif event == "complete":
-                    state.completed = True
+        for number, record in read_jsonl_lines(self.path) or ():
+            if record is None or "event" not in record:
+                logger.warning("skipping unreadable journal line", path=self.path, line=number)
+                continue
+            event = record["event"]
+            state.events.append(record)
+            if event == "plan":
+                state.plan = record
+                state.completed = False
+            elif event == "requeue":
+                state.retries += 1
+                fence = int(record.get("fence", 0))
+                chunk = int(record["chunk"])
+                state.fences[chunk] = max(fence, state.fences.get(chunk, fence))
+            elif event == "expire":
+                state.expired_leases += 1
+            elif event == "degrade":
+                chunk = int(record["chunk"])
+                if chunk not in state.degraded_chunks:
+                    state.degraded_chunks.append(chunk)
+            elif event == "fence":
+                fence = int(record["epoch"])
+                chunk = int(record["chunk"])
+                state.fences[chunk] = max(fence, state.fences.get(chunk, fence))
+            elif event == "complete":
+                state.completed = True
         return state
 
 
@@ -609,29 +502,29 @@ def worker_store_paths(campaign: CampaignState | str | Path) -> Iterator[Path]:
             yield path
 
 
-def merge_worker_stores(
-    state: CampaignState, fences: Mapping[int, int] | None = None
-) -> MergeReport:
+def merge_worker_stores(state: CampaignState) -> MergeReport:
     """Merge every per-worker store under a campaign into the canonical one.
 
-    Idempotent: chunks already merged are recognised as byte-identical
-    duplicates and skipped; worker stores with torn tails (a worker died
-    mid-append) are recovered by the store's own open-time truncation
-    before their surviving chunks merge; chunks a zombie worker appended
-    under a **fenced** (superseded) lease epoch are skipped with a
-    warning — the re-issued epoch's copy is the canonical one.  ``fences``
-    defaults to the campaign's recorded fences (:func:`read_fences`).
+    The one merge of the campaign fabric (coordinator, ``scenarios
+    merge`` and heal).  Worker stores are read through **read-only
+    snapshots** (``CampaignState(read_only=True)``) and never touched on
+    disk: a live worker may be appending behind a torn tail, which the
+    snapshot skips instead of truncating.  Idempotent: chunks already
+    merged are recognised as byte-identical duplicates and skipped;
+    chunks a zombie worker appended under a **fenced** (superseded)
+    lease epoch (:func:`read_fences`) are skipped with a warning — the
+    re-issued epoch's copy is the canonical one.
     """
-    if fences is None:
-        fences = read_fences(state)
     telemetry = obs.active()
-    sources = list(worker_store_paths(state))
-    with telemetry.span("merge", workers=len(sources)) as span:
-        report = state.merge(*sources, fences=fences, skip_fenced=True)
+    snapshots = [
+        CampaignState(path, state.spec, read_only=True) for path in worker_store_paths(state)
+    ]
+    with telemetry.span("merge", workers=len(snapshots)) as span:
+        report = state.merge(*snapshots, fences=read_fences(state), skip_fenced=True)
         span.set(added=len(report.added), fenced=len(report.fenced))
-        if telemetry.enabled and report.added:
-            telemetry.counter("fabric.merged_chunks", len(report.added))
-        return report
+    if telemetry.enabled and report.added:
+        telemetry.counter("fabric.merged_chunks", len(report.added))
+    return report
 
 
 def _cleanup_if_complete(state: CampaignState, total_chunks: int) -> None:
@@ -683,27 +576,52 @@ class HealReport:
         )
 
 
+def recorded_chunk_size(
+    snapshot: CampaignSnapshot, spec: ScenarioSpec, chunk_size: int | None = None
+) -> int:
+    """The chunk size the snapshot records (advert, else any chunk or lease).
+
+    ``chunk_size`` fills in only when the directory records none (else
+    :data:`~repro.scenarios.runner.DEFAULT_CHUNK_SIZE`); one whose chunk
+    plan contradicts the recorded size is an error naming both sizes.
+    """
+    recorded = snapshot.chunk_size
+    if recorded is None:
+        return chunk_size or DEFAULT_CHUNK_SIZE
+    count = spec.family.count
+    if chunk_size is not None and plan_chunks(count, chunk_size) != plan_chunks(count, recorded):
+        raise ExperimentError(
+            f"chunk size {chunk_size} contradicts the chunk size {recorded} recorded "
+            f"in {snapshot.directory}"
+        )
+    return recorded if chunk_size is None else chunk_size
+
+
 def heal_campaign(
     spec: ScenarioSpec,
     store: CampaignStore | str | Path,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
-    skew_slack: float = DEFAULT_SKEW_SLACK,
+    chunk_size: int | None = None,
+    skew_slack: float | None = None,
 ) -> HealReport:
     """Recover a campaign whose coordinator died mid-run.
 
-    Three passes, each durable on its own:
+    Leases, torn leases and the chunk plan come from one read-only
+    :class:`~repro.obs.campaign.CampaignSnapshot`: the chunk size is the
+    one the directory records (:func:`recorded_chunk_size`; ``chunk_size``
+    only fills in when it records none), and ``skew_slack`` defaults to
+    the advert's.  Then three passes, each durable on its own:
 
     1. **merge** every surviving per-worker store into the canonical one
-       (crash-after-append chunks and torn worker tails surface here;
-       chunks appended under a fenced, superseded lease epoch are skipped
-       — the re-issued epoch's copy is the canonical one);
+       (:func:`merge_worker_stores`: crash-after-append chunks surface
+       here; chunks appended under a fenced, superseded lease epoch are
+       skipped — the re-issued epoch's copy is the canonical one);
     2. **re-evaluate** every leased-but-missing chunk in the healing
        parent — the abandoned/expired leases name their exact
-       ``[start, stop)`` ranges, so no chunk plan is needed to find them.
-       A **live** lease (its ``deadline + skew_slack`` has not passed —
-       a worker is still computing it) is left alone and reported in
-       ``live_leases``.  An unreadable (torn) lease file is treated as
-       expired and re-evaluated from the chunk plan;
+       ``[start, stop)`` ranges.  A **live** lease (its ``deadline +
+       skew_slack`` has not passed — a worker is still computing it) is
+       left alone and reported in ``live_leases``.  An unreadable (torn)
+       lease file is treated as expired and re-evaluated from the chunk
+       plan;
     3. **clear** lease files whose chunks are now canonical.
 
     Chunks that were never leased (the coordinator died before sharding
@@ -713,44 +631,29 @@ def heal_campaign(
     if isinstance(store, (str, Path)):
         store = CampaignStore(store)
     state = store.campaign(spec)
-    merged = merge_worker_stores(state)
-    report = HealReport(state=state, merge=merged)
+    snapshot = CampaignSnapshot.read(state.directory)
+    plan = plan_chunks(spec.family.count, recorded_chunk_size(snapshot, spec, chunk_size))
+    skew_slack = snapshot.skew_slack if skew_slack is None else skew_slack
+    report = HealReport(state=state, merge=merge_worker_stores(state))
     journal = CoordinatorJournal(state)
-    now = time.time()
 
-    plan = plan_chunks(spec.family.count, chunk_size)
-    leases: list[Lease] = []
-    torn_chunks: list[int] = []
-    leases_dir = lease_directory(state)
-    if leases_dir.is_dir():
-        for path in sorted(leases_dir.glob("chunk-*.json")):
-            lease = read_lease(path)
-            if lease is not None:
-                leases.append(lease)
-                continue
-            # The filename carries the chunk index; a torn lease is an
-            # expired lease whose range we recover from the plan.
-            try:
-                torn_chunks.append(int(path.stem.partition("-")[2]))
-            except ValueError:
-                path.unlink(missing_ok=True)
-
+    done = state.completed_chunks
     live = {
         lease.chunk
-        for lease in leases
-        if lease.chunk not in state.completed_chunks
-        and not lease.expired(now, skew_slack)
+        for lease in snapshot.leases
+        if lease.chunk not in done and not lease.expired(snapshot.now, skew_slack)
     }
     report.live_leases = sorted(live)
     stale: list[tuple[int, int, int]] = [
         (lease.chunk, lease.start, lease.stop)
-        for lease in leases
-        if lease.chunk not in state.completed_chunks and lease.chunk not in live
+        for lease in snapshot.leases
+        if lease.chunk not in done and lease.chunk not in live
     ]
+    # A torn lease is an expired lease whose range comes from the plan.
     stale.extend(
         (chunk, *plan[chunk])
-        for chunk in torn_chunks
-        if chunk not in state.completed_chunks and chunk < len(plan)
+        for chunk in snapshot.torn_leases
+        if chunk not in done and chunk < len(plan)
     )
     if stale:
         heal_store = CampaignState(worker_directory(state, _HEAL_OWNER), spec)
@@ -763,19 +666,14 @@ def heal_campaign(
         report.merge.added.extend(healed_merge.added)
         report.merge.duplicates.extend(healed_merge.duplicates)
         report.merge.rewritten = report.merge.rewritten or healed_merge.rewritten
-    report.merge.total_chunks = len(state.completed_chunks)
+    done = state.completed_chunks
+    report.merge.total_chunks = len(done)
 
-    for lease in leases:
-        if lease.chunk in state.completed_chunks:
-            lease.path(leases_dir).unlink(missing_ok=True)
-            report.cleared_leases.append(lease.chunk)
-    for chunk in torn_chunks:
-        if chunk in state.completed_chunks:
-            (leases_dir / f"chunk-{chunk:06d}.json").unlink(missing_ok=True)
+    report.cleared_leases = [lease.chunk for lease in snapshot.leases if lease.chunk in done]
+    for chunk in report.cleared_leases + [c for c in snapshot.torn_leases if c in done]:
+        (lease_directory(state) / f"chunk-{chunk:06d}.json").unlink(missing_ok=True)
 
-    report.missing_chunks = max(
-        0, len(plan) - len(state.completed_chunks) - len(report.live_leases)
-    )
+    report.missing_chunks = max(0, len(plan) - len(done) - len(report.live_leases))
     journal.append(
         "heal",
         healed=report.healed_chunks,

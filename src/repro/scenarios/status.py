@@ -1,18 +1,21 @@
 """Live campaign status: the read side of the telemetry sidecar.
 
 ``scenarios status STORE_DIR`` renders one consolidated view of a
-running (or finished) campaign from plain files only — it never opens
-the store writable and never needs the spec object:
+running (or finished) campaign.  It is a projection of one
+:class:`~repro.obs.campaign.CampaignSnapshot` — it opens no campaign
+file itself, never opens the store writable and never needs the spec
+object:
 
-* **progress** — chunks done / total and persisted rows, read tolerantly
-  from the canonical ``chunks.jsonl`` plus every per-worker store (a
-  chunk durable in a worker store counts as done even before the
-  coordinator merges it);
+* **progress** — chunks done / total and persisted rows: the canonical
+  ``chunks.jsonl`` plus every per-worker store, where a worker's chunk
+  counts as done before the coordinator merges it unless it was
+  appended under a fenced (superseded) lease epoch — the same rule the
+  coordinator uses;
 * **throughput** — rows/s and a chunk-based ETA derived from the span
   sidecar's wall-clock extent;
 * **lease health** — every outstanding lease with its owner, epoch and
   how long it has been held, flagged when expired past the advert's
-  skew slack;
+  skew slack (the snapshot's one expiry rule);
 * **phase breakdown** — per-phase totals (queue / evaluate / solve /
   replay / append / merge / work) from the merged ``span.*.seconds``
   histograms;
@@ -27,20 +30,14 @@ for), and torn sidecar lines are counted, never fatal.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, TextIO
 
-from repro.obs import (
-    TELEMETRY_DIR_NAME,
-    chunk_progress,
-    merge_snapshots,
-    read_jsonl_tolerant,
-    read_metric_snapshots,
-    read_spans,
-)
+from repro.obs import merge_snapshots
+from repro.obs.campaign import CampaignSnapshot
+from repro.obs.report import format_seconds
 
 __all__ = ["CampaignStatus", "LeaseHealth", "collect_status", "follow_status", "render_status"]
 
@@ -139,75 +136,6 @@ def _recent_rows_per_second(
     return rows / elapsed
 
 
-def _read_advert(campaign_dir: Path) -> dict | None:
-    try:
-        record = json.loads((campaign_dir / "fabric.json").read_text(encoding="utf-8"))
-        return record if isinstance(record, dict) else None
-    except (OSError, ValueError):
-        return None
-
-
-def _infer_total_chunks(campaign_dir: Path, advert: dict | None) -> int | None:
-    """Total chunks: the advert's promise, else spec count / chunk size."""
-    if advert is not None:
-        try:
-            return int(advert["total_chunks"])
-        except (KeyError, TypeError, ValueError):
-            pass
-    try:
-        spec = json.loads((campaign_dir / "spec.json").read_text(encoding="utf-8"))
-        count = int(spec["family"]["count"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    chunk_size = None
-    records, _ = read_jsonl_tolerant(campaign_dir / "chunks.jsonl")
-    for record in records:
-        if isinstance(record, dict) and record.get("chunk") == 0 and "stop" in record:
-            try:
-                chunk_size = int(record["stop"]) - int(record.get("start", 0))
-            except (TypeError, ValueError):
-                chunk_size = None
-            break
-    if not chunk_size or chunk_size <= 0:
-        from repro.scenarios.runner import DEFAULT_CHUNK_SIZE
-
-        chunk_size = DEFAULT_CHUNK_SIZE
-    return max(1, -(-count // chunk_size))
-
-
-def _read_leases(campaign_dir: Path, skew_slack: float, now: float) -> list[LeaseHealth]:
-    leases: list[LeaseHealth] = []
-    leases_dir = campaign_dir / "leases"
-    if not leases_dir.is_dir():
-        return leases
-    for path in sorted(leases_dir.glob("chunk-*.json")):
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-            chunk = int(record["chunk"])
-            owner = str(record.get("owner", "?"))
-            epoch = int(record.get("epoch", 0))
-            granted = float(record.get("granted_at") or now)
-            deadline = record.get("deadline")
-        except (OSError, ValueError, KeyError, TypeError):
-            continue
-        expired = False
-        if deadline is not None:
-            try:
-                expired = now > float(deadline) + skew_slack
-            except (TypeError, ValueError):
-                expired = False
-        leases.append(
-            LeaseHealth(
-                chunk=chunk,
-                owner=owner,
-                epoch=epoch,
-                held_for=max(0.0, now - granted),
-                expired=expired,
-            )
-        )
-    return leases
-
-
 def _phase_breakdown(histograms: dict) -> list[tuple[str, float, int]]:
     phases: list[tuple[str, float, int]] = []
     for name, histogram in histograms.items():
@@ -243,57 +171,42 @@ def collect_status(campaign_dir: str | Path, now: float | None = None) -> Campai
     without telemetry yields progress + leases only.  Never raises on
     torn or missing files.
     """
-    campaign_dir = Path(campaign_dir)
-    now = time.time() if now is None else now
-    status = CampaignStatus(directory=campaign_dir)
+    snapshot = CampaignSnapshot.read(campaign_dir, now=now)
+    now = snapshot.now
+    status = CampaignStatus(directory=snapshot.directory)
+    status.canonical_chunks = len(snapshot.canonical.ranges)
+    status.rows = snapshot.canonical.rows
+    status.worker_chunks = {
+        owner: len(progress.ranges) for owner, progress in snapshot.workers.items()
+    }
+    status.worker_only_chunks = len(snapshot.durable_chunks) - status.canonical_chunks
+    status.total_chunks = snapshot.total_chunks
+    status.leases = [
+        LeaseHealth(
+            chunk=lease.chunk,
+            owner=lease.owner,
+            epoch=lease.epoch,
+            held_for=max(0.0, now - (lease.granted_at or now)),
+            expired=snapshot.expired(lease),
+        )
+        for lease in snapshot.leases
+    ]
 
-    canonical, rows, _ = chunk_progress(campaign_dir / "chunks.jsonl")
-    status.canonical_chunks = len(canonical)
-    status.rows = rows
-
-    observed = set(canonical)
-    workers_root = campaign_dir / "workers"
-    if workers_root.is_dir():
-        for worker_dir in sorted(workers_root.iterdir()):
-            chunks, _, _ = chunk_progress(worker_dir / "chunks.jsonl")
-            if chunks or (worker_dir / "spec.json").is_file():
-                status.worker_chunks[worker_dir.name] = len(chunks)
-            observed |= chunks
-    status.worker_only_chunks = len(observed) - len(canonical)
-
-    advert = _read_advert(campaign_dir)
-    status.total_chunks = _infer_total_chunks(campaign_dir, advert)
-    skew_slack = 2.0
-    if advert is not None:
-        try:
-            skew_slack = float(advert.get("skew_slack", skew_slack))
-        except (TypeError, ValueError):
-            pass
-    status.leases = _read_leases(campaign_dir, skew_slack, now)
-
-    telemetry_dir = campaign_dir / TELEMETRY_DIR_NAME
-    spans, dropped_spans = read_spans(telemetry_dir)
-    snapshots = read_metric_snapshots(telemetry_dir)
-    status.dropped_telemetry_lines = dropped_spans
-    status.has_telemetry = bool(spans or snapshots)
+    spans = snapshot.spans
+    status.dropped_telemetry_lines = snapshot.dropped_span_lines
+    status.has_telemetry = bool(spans or snapshot.metrics)
     if not status.has_telemetry:
         return status
 
-    merged = merge_snapshots(snapshots)
+    merged = merge_snapshots(snapshot.metrics)
     status.counters = dict(merged.get("counters", {}))
     status.owners = list(merged.get("owners", []))
     status.phases = _phase_breakdown(merged.get("histograms", {}))
     status.kernels = _kernel_profiles(status.counters)
 
-    stamps = [
-        (float(record["t0"]), float(record.get("dt", 0.0)))
-        for record in spans
-        if isinstance(record.get("t0"), (int, float))
-    ]
-    if stamps:
-        t_start = min(t0 for t0, _ in stamps)
-        t_end = max(t0 + dt for t0, dt in stamps)
-        elapsed = t_end - t_start
+    extent = snapshot.span_extent()
+    if extent is not None:
+        elapsed = extent[1] - extent[0]
         if elapsed > 0:
             if status.rows:
                 status.rows_per_second = status.rows / elapsed
@@ -302,16 +215,6 @@ def collect_status(campaign_dir: str | Path, now: float | None = None) -> Campai
                 status.eta_seconds = (status.total_chunks - done) * (elapsed / done)
     status.recent_rows_per_second = _recent_rows_per_second(spans, now)
     return status
-
-
-def _format_seconds(seconds: float) -> str:
-    if seconds >= 3600:
-        return f"{seconds / 3600:.1f}h"
-    if seconds >= 60:
-        return f"{seconds / 60:.1f}m"
-    if seconds >= 1.0:
-        return f"{seconds:.1f}s"
-    return f"{seconds * 1000:.1f}ms"
 
 
 def render_status(status: CampaignStatus) -> str:
@@ -335,7 +238,7 @@ def render_status(status: CampaignStatus) -> str:
                 f" last {RECENT_WINDOW_SECONDS:.0f}s"
             )
         if status.eta_seconds is not None:
-            throughput += f", ETA {_format_seconds(status.eta_seconds)}"
+            throughput += f", ETA {format_seconds(status.eta_seconds)}"
         lines.append(throughput)
 
     if status.worker_chunks:
@@ -347,7 +250,7 @@ def render_status(status: CampaignStatus) -> str:
     if status.leases:
         lines.append("leases:")
         for lease in status.leases:
-            health = "EXPIRED" if lease.expired else f"held {_format_seconds(lease.held_for)}"
+            health = "EXPIRED" if lease.expired else f"held {format_seconds(lease.held_for)}"
             lines.append(
                 f"  chunk {lease.chunk}: owner {lease.owner}, epoch {lease.epoch}, {health}"
             )
@@ -359,7 +262,7 @@ def render_status(status: CampaignStatus) -> str:
     if status.phases:
         lines.append("phases:")
         for name, total_seconds, count in status.phases:
-            lines.append(f"  {name:10s} {_format_seconds(total_seconds):>8s}  {count} span(s)")
+            lines.append(f"  {name:10s} {format_seconds(total_seconds):>8s}  {count} span(s)")
 
     for kernel, stats in sorted(status.kernels.items()):
         calls = int(stats.get("calls", 0))

@@ -58,6 +58,7 @@ import numpy as np
 import repro.obs as obs
 from repro.exceptions import ExperimentError
 from repro.obs import get_logger
+from repro.obs.spans import highest_epochs, read_jsonl_lines
 from repro.scenarios.spec import ScenarioSpec, spec_hash
 
 __all__ = [
@@ -715,21 +716,9 @@ def _load_epochs(path: Path) -> dict[int, int]:
     rather than failing the open — a chunk without a readable epoch is
     simply treated as unfenced metadata-wise.
     """
-    epochs: dict[int, int] = {}
-    if not path.exists():
-        return epochs
-    with open(path, "r", encoding="utf-8") as handle:
-        for number, line in enumerate(handle):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                index, epoch = int(record["chunk"]), int(record["epoch"])
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                logger.warning("skipping unreadable epoch line", path=path, line=number + 1)
-                continue
-            epochs[index] = max(epoch, epochs.get(index, epoch))
+    epochs, unreadable = highest_epochs(read_jsonl_lines(path) or ())
+    for number in unreadable:
+        logger.warning("skipping unreadable epoch line", path=path, line=number)
     return epochs
 
 

@@ -36,7 +36,6 @@ from repro.scenarios.detached import (
     _take_over_lease,
     _work_one_chunk,
     default_owner,
-    merge_worker_snapshots,
     plan_chunks_from_advert,
     run_detached_campaign,
     work_loop,
@@ -46,6 +45,7 @@ from repro.scenarios.fabric import (
     Lease,
     heal_campaign,
     lease_directory,
+    merge_worker_stores,
     read_fences,
     record_fence,
     worker_directory,
@@ -275,7 +275,7 @@ class TestWorkLoopSingleWorker:
         report = work_loop(state.directory, owner="solo", poll=0.05, wait=5.0)
         assert sorted(report.completed) == [0, 1, 2]
         assert not report.abandoned
-        merge_worker_snapshots(state)
+        merge_worker_stores(state)
         assert state.chunks_path.read_bytes() == expected
 
     def test_worker_exits_promptly_on_preset_stop(self, tmp_path, reference):
@@ -348,7 +348,7 @@ class TestWorkLoopSingleWorker:
         # The zombie wakes and appends under its superseded epoch anyway.
         zombie_store = CampaignState(worker_directory(state, "zombie"), spec)
         zombie_store.append_chunk(0, 0, 2, evaluate_range(spec, 0, 2), epoch=0)
-        merged = merge_worker_snapshots(state)
+        merged = merge_worker_stores(state)
         assert 0 in merged.fenced
         assert state.chunks_path.read_bytes() == expected
 
@@ -503,6 +503,28 @@ class TestDetachedCampaign:
         assert progress.resumed_from_journal
         assert progress.finished
         assert store_bytes(tmp_path / "shared", spec) == expected
+
+    def test_timeout_hint_is_a_command_the_cli_accepts(self, tmp_path, capsys):
+        """The copy-pasteable heal command of a timed-out coordinator parses
+        and runs as printed."""
+        import shlex
+
+        from repro.cli import build_parser, main
+
+        spec = small_spec()
+        with pytest.raises(ExperimentError, match="resume with: ") as raised:
+            run_detached_campaign(
+                spec, tmp_path / "shared", chunk_size=2, policy=fast_policy(),
+                wait_timeout=0.2,
+            )
+        argv = shlex.split(str(raised.value).partition("resume with: ")[2])
+        args = build_parser().parse_args(argv)
+        assert (args.command, args.scenarios_command) == ("scenarios", "heal")
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        # The chunk size comes from the advert, not the CLI default.
+        assert "3 chunk(s) still missing" in out
+        assert "--chunk-size 2" in out
 
     def test_skewed_worker_within_slack_causes_no_takeover(self, tmp_path, reference):
         spec, expected = reference

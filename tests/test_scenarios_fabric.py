@@ -312,10 +312,10 @@ class TestLocalWorkerSupervision:
         left alone, not fenced, so its bytes merge instead of the chunk
         being evaluated again."""
         spec = small_spec()
-        real_merge = detached.merge_worker_snapshots
+        real_merge = detached.merge_worker_stores
         # The coordinator never merges during the run, so the crash always
         # falls between a merge and the dead-worker check.
-        monkeypatch.setattr(detached, "merge_worker_snapshots", lambda state: MergeReport())
+        monkeypatch.setattr(detached, "merge_worker_stores", lambda state: MergeReport())
         progress = run_local(spec, tmp_path, workers=1, max_chunks=1, faults="crash-post@0")
         assert progress.expired_leases == 0
         assert read_fences(progress.state) == {}
@@ -431,7 +431,9 @@ class TestMergeWorkerStores:
 
     def test_merge_recovers_torn_worker_tail(self, tmp_path):
         """A worker killed mid-append leaves a torn tail in *its* store;
-        the merge path truncates it on open and merges the survivors."""
+        the merge reads it through a read-only snapshot, merges the
+        survivors and leaves the source bytes unchanged (the worker's own
+        reopen repairs its tail)."""
         spec = small_spec()
         from repro.scenarios.store import CampaignStore
 
@@ -440,9 +442,72 @@ class TestMergeWorkerStores:
         worker.append_chunk(0, 0, 2, evaluate_range(spec, 0, 2))
         with open(worker.chunks_path, "a", encoding="utf-8") as handle:
             handle.write('{"chunk": 1, "start": 2, "rows": [{"pla')
+        source = worker.chunks_path.read_bytes()
         report = merge_worker_stores(state)
         assert report.added == [0]
         assert state.completed_chunks == {0}
+        assert worker.chunks_path.read_bytes() == source
+
+
+class TestHealReadsTheChunkPlan:
+    """heal takes the chunk size the campaign directory records."""
+
+    @staticmethod
+    def partial_campaign(tmp_path, advert=True):
+        """Five chunks of two platforms, three canonical, no leases."""
+        from repro.scenarios.detached import FabricAdvert
+
+        spec = small_spec(count=10)
+        progress = run_campaign(spec, tmp_path, chunk_size=2, max_chunks=3)
+        if advert:
+            FabricAdvert(chunk_size=2, total_chunks=5, ttl=60.0).write(
+                progress.state.directory
+            )
+        return spec
+
+    @pytest.mark.parametrize("advert", [True, False])
+    def test_heal_without_chunk_size_counts_missing_chunks(self, tmp_path, advert):
+        spec = self.partial_campaign(tmp_path, advert=advert)
+        report = heal_campaign(spec, tmp_path)
+        assert report.missing_chunks == 2
+        assert not report.complete
+        assert "2 chunk(s) still missing" in report.describe()
+
+    def test_contradicting_chunk_size_names_both_values(self, tmp_path):
+        spec = self.partial_campaign(tmp_path)
+        with pytest.raises(ExperimentError, match="chunk size 3 .* chunk size 2"):
+            heal_campaign(spec, tmp_path, chunk_size=3)
+        # A size that yields the recorded plan is accepted.
+        assert heal_campaign(spec, tmp_path, chunk_size=2).missing_chunks == 2
+
+    def test_single_chunk_campaign_accepts_any_covering_size(self, tmp_path):
+        """Chunk 0 of a one-chunk plan only bounds the chunk size from
+        below: every size that yields the same plan agrees with it."""
+        spec = small_spec(count=6)
+        run_campaign(spec, tmp_path)  # the default chunk size: one chunk
+        report = heal_campaign(spec, tmp_path, chunk_size=100)
+        assert report.complete
+        with pytest.raises(ExperimentError, match="chunk size 2"):
+            heal_campaign(spec, tmp_path, chunk_size=2)
+
+    def test_cli_merge_and_heal_read_the_chunk_size(self, tmp_path, capsys):
+        from repro.cli import main
+
+        spec = self.partial_campaign(tmp_path / "store")
+        path = tmp_path / "space.json"
+        path.write_text(spec.to_json(), encoding="utf-8")
+        argv = [str(path), "--store", str(tmp_path / "store")]
+        assert main(["scenarios", "merge", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "campaign incomplete" in out
+        assert "--chunk-size 2" in out
+        assert main(["scenarios", "heal", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "2 chunk(s) still missing" in out
+        assert "still incomplete" in out
+        with pytest.raises(SystemExit):
+            main(["scenarios", "heal", *argv, "--chunk-size", "3"])
+        assert "contradicts the chunk size 2" in capsys.readouterr().err
 
 
 class TestFaultSpecErrorPaths:

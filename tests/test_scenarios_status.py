@@ -86,6 +86,42 @@ class TestCollectStatus:
         assert status.chunks_done == 2
         assert status.worker_chunks == {"w0": 1}
 
+    def test_fenced_worker_chunks_are_not_durable(self, tmp_path):
+        """A zombie's chunk (epoch 0, fenced at 1) counts neither in status
+        nor for the coordinator: both apply the one fence-aware rule."""
+        from repro.scenarios.detached import _observed_chunks
+        from repro.scenarios.fabric import read_fences, record_fence, worker_directory
+        from repro.scenarios.runner import evaluate_range
+        from repro.scenarios.store import CampaignState
+
+        spec = small_spec()
+        store = tmp_path / "store"
+        state = run_campaign(spec, store, chunk_size=2, max_chunks=1).state
+        zombie = CampaignState(worker_directory(state, "zombie"), spec)
+        zombie.append_chunk(1, 2, 4, evaluate_range(spec, 2, 4), epoch=0)
+        record_fence(state, 1, 1)
+        status = collect_status(state.directory)
+        assert status.chunks_done == len(_observed_chunks(state, read_fences(state))) == 1
+        assert status.worker_only_chunks == 0
+        assert status.worker_chunks == {"zombie": 1}
+
+    def test_total_chunks_without_chunk_zero(self, tmp_path):
+        """The chunk size is derived exactly from any chunk record, so
+        status and report agree on the plan when chunk 0 is absent."""
+        from repro.obs import analyze_campaign
+
+        spec = small_spec(count=5)
+        full = run_campaign(spec, tmp_path / "full", chunk_size=2).state
+        campaign_dir = tmp_path / "partial"
+        campaign_dir.mkdir()
+        (campaign_dir / "spec.json").write_text(spec.to_json(), encoding="utf-8")
+        lines = full.chunks_path.read_bytes().splitlines(keepends=True)
+        (campaign_dir / "chunks.jsonl").write_bytes(lines[1])
+        status = collect_status(campaign_dir)
+        assert status.canonical_chunks == 1
+        assert status.total_chunks == 3
+        assert analyze_campaign(campaign_dir).total_chunks == 3
+
     def test_lease_health_flags_expiry(self, tmp_path):
         campaign_dir = tmp_path / "campaign"
         leases_dir = campaign_dir / "leases"
@@ -136,6 +172,34 @@ class TestCollectStatus:
         status = collect_status(campaign_dir)
         assert status.dropped_telemetry_lines == 1
         assert "torn line(s) dropped" in render_status(status)
+
+
+class TestCampaignSnapshot:
+    """The one read-only pass behind status, report, show and heal."""
+
+    def test_reading_creates_nothing(self, tmp_path):
+        from repro.obs.campaign import CampaignSnapshot
+
+        snapshot = CampaignSnapshot.read(tmp_path / "absent")
+        assert not (tmp_path / "absent").exists()
+        assert snapshot.chunk_size is None and snapshot.total_chunks is None
+        assert not snapshot.journal_present
+
+    def test_plan_from_lease_records_and_torn_leases(self, tmp_path):
+        from repro.obs.campaign import CampaignSnapshot
+
+        campaign_dir = tmp_path / "campaign"
+        leases_dir = campaign_dir / "leases"
+        leases_dir.mkdir(parents=True)
+        (campaign_dir / "spec.json").write_text(small_spec(count=7).to_json(), encoding="utf-8")
+        Lease(chunk=3, start=6, stop=7, owner="w0", epoch=0).write(leases_dir)
+        (leases_dir / "chunk-000001.json").write_text('{"chunk": 1, "st', encoding="utf-8")
+        snapshot = CampaignSnapshot.read(campaign_dir)
+        assert snapshot.chunk_size == 2
+        assert snapshot.total_chunks == 4
+        assert snapshot.torn_leases == [1]
+        # A lease without a deadline is expired, by the protocol's rule.
+        assert [snapshot.expired(lease) for lease in snapshot.leases] == [True]
 
 
 class TestRecentThroughput:
