@@ -756,12 +756,16 @@ def _scenarios_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             parser.error(str(error))
         # One normalized shape for every store-path mention (plain str, no
         # repr) and a copy-pasteable recovery command, same as the run
-        # verb's KeyboardInterrupt path.
+        # verb's KeyboardInterrupt path: the spec derivations (a different
+        # --count/--seed is a different spec hash) and the chunk plan.
         resume_hint = (
             f"  repro-experiments scenarios resume {args.space} --store {args.store}"
         )
         if args.chunk_size is not None or chunk_size != DEFAULT_CHUNK_SIZE:
             resume_hint += f" --chunk-size {chunk_size}"
+        for flag in ("count", "seed"):
+            if getattr(args, flag) is not None:
+                resume_hint += f" --{flag} {getattr(args, flag)}"
         if args.scenarios_command == "merge":
             report = merge_worker_stores(state)
             print(f"store: {state.directory}")

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.core.schedule import Schedule
 from repro.exceptions import ScheduleError
 
@@ -68,54 +70,61 @@ def round_loads(
             raise ScheduleError("loads must be non-negative")
 
     values = [loads.get(name, 0.0) for name in sigma1]
-    return dict(zip(sigma1, round_values(values, total, tol=tol)))
+    return dict(zip(sigma1, round_values([values], total, tol=tol)[0].tolist()))
 
 
-def round_values(values: Sequence[float], total: int, tol: float = 1e-6) -> list[int]:
-    """Positional core of :func:`round_loads`: round a load *vector*.
+def round_values(values, total: int, tol: float = 1e-6) -> np.ndarray:
+    """Row-wise core of :func:`round_loads`: round a matrix of load vectors.
 
-    ``values`` are the fractional loads in sending-permutation order; the
-    returned integers sum to ``total`` and follow exactly the same policy
-    (proportional rescale, floor, leftovers to the front of the
-    permutation).  This is the entry point for hot paths that already hold
-    the loads as a vector rather than a mapping.
+    Each row of the ``(rows, q)`` matrix ``values`` holds fractional loads
+    in its sending-permutation order; every row of the returned integer
+    matrix sums to ``total``.  Row by row, the policy is: rescale
+    proportionally unless the row's sum ``math.isclose`` to ``total`` (a
+    row left with a non-finite value is dealt out from zero instead);
+    floor ``value + tol``; shave any overshoot from the end of the
+    permutation, skipping workers already at zero; give the ``K`` leftover
+    units round-robin to the front of the permutation, wrapping when
+    ``K > q``.  Row sums are Python ``sum()`` over each row's floats, so a
+    row rounds to the same integers alone or in a matrix, on every
+    interpreter.
     """
     if total < 0:
         raise ScheduleError("total must be non-negative")
-    if not values:
+    values = np.array(values, dtype=float, ndmin=2)
+    rows, q = values.shape
+    if not q:
         raise ScheduleError("sigma1 must not be empty")
     if total == 0:
-        return [0] * len(values)
-    current_total = sum(values)
-    if current_total <= 0:
+        return np.zeros((rows, q), dtype=np.int64)
+    sums = [sum(row) for row in values.tolist()]
+    if any(row_total <= 0 for row_total in sums):
         raise ScheduleError("cannot round an all-zero load assignment to a positive total")
+    scales = [
+        1.0 if math.isclose(row_total, total, rel_tol=tol, abs_tol=tol) else total / row_total
+        for row_total in sums
+    ]
+    # v * 1.0 == v bit for bit, so unscaled rows keep their exact values.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = values * np.array(scales)[:, None]
+    # Degenerate inputs (e.g. a vanishingly small total load) can overflow
+    # the rescaling; fall back to an even distribution of the leftovers.
+    values[~np.isfinite(values).all(axis=1)] = 0.0
 
-    if not math.isclose(current_total, total, rel_tol=tol, abs_tol=tol):
-        scale = total / current_total
-        values = [value * scale for value in values]
-
-    # Degenerate inputs (e.g. a vanishingly small total load) can overflow the
-    # rescaling; fall back to an even distribution through the leftover loop.
-    if any(not math.isfinite(value) for value in values):
-        values = [0.0] * len(values)
-
-    floor = math.floor
-    counts = [int(floor(value + tol)) for value in values]
-    leftover = total - sum(counts)
-    if leftover < 0:
-        # Floating-point slack pushed a floor one unit too high; shave the
-        # excess from the end of the permutation (largest indices first).
-        for index in range(len(counts) - 1, -1, -1):
-            while leftover < 0 and counts[index] > 0:
-                counts[index] -= 1
-                leftover += 1
-    # Paper policy: one extra unit to each of the first `leftover` workers of
-    # the sending permutation.
-    index = 0
-    while leftover > 0:
-        counts[index % len(counts)] += 1
-        leftover -= 1
-        index += 1
+    counts = np.floor(values + tol).astype(np.int64)
+    leftover = total - counts.sum(axis=1)
+    over = leftover < 0
+    if over.any():
+        # Floating-point slack pushed floors too high: shave the excess
+        # from the end of the permutation, each worker down to zero at most.
+        spare = np.maximum(counts[over], 0)
+        after = np.cumsum(spare[:, ::-1], axis=1)[:, ::-1] - spare
+        shaved = np.clip(-leftover[over, None] - after, 0, spare)
+        counts[over] -= shaved
+        leftover[over] += shaved.sum(axis=1)
+    # Paper policy: one extra unit to each of the first `leftover` workers
+    # of the sending permutation, round after round.
+    extra = np.maximum(leftover, 0)
+    counts += extra[:, None] // q + (np.arange(q) < (extra % q)[:, None])
     return counts
 
 

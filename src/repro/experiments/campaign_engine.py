@@ -9,15 +9,20 @@ for every campaign, the paper's Figures 10-13 included:
 
 * :func:`prepare_cells` stacks all LP evaluations of a batch of cost
   tables into **one batched scenario-kernel call** per worker count,
-  rounds each load vector once, and — for measured campaigns only —
-  builds the replay layouts straight from the kernel's load vectors and
-  those counts, no platform or schedule objects;
+  stacks every (cell, heuristic) load row — kernel rows and closed-form
+  LIFO rows alike — into one matrix per worker count and rounds it with
+  one row-wise :func:`~repro.core.rounding.round_values` call, and — for
+  measured one-port campaigns only — lays the whole matrix out for replay
+  with one row-wise :func:`~repro.simulation.executor.
+  prepare_measurement_arrays` call; cells reference rows of those
+  chunk-wide arrays, no platform, schedule or per-pair objects;
 * the heuristic order rules and the closed-form LIFO chain come from
   :mod:`repro.core.order_rules`, the cost tables from
   :mod:`repro.workloads.sampling`;
 * :func:`replay_grouped` replays the one-port measurements vectorised
-  across a whole chunk, :func:`replay_two_port` replays the chunk's
-  two-port runs in one lockstep merge of their event streams;
+  across a whole chunk, gathering each participant count's runs with one
+  fancy index; :func:`replay_two_port` replays the chunk's two-port runs
+  in one lockstep merge of their event streams;
 * :func:`noise_seed` is the one per-(platform, size) noise-seed formula.
 
 Everything is pinned bit-for-bit by the test-suite against the public
@@ -46,9 +51,10 @@ from repro.core.order_rules import (
 from repro.core.rounding import round_values
 from repro.exceptions import ScheduleError
 from repro.simulation.executor import (
-    PreparedMeasurement,
+    kind_pattern,
+    operation_workers,
     prepare_measurement_arrays,
-    timeline_indices,
+    replay_timelines,
 )
 from repro.simulation.fast_twoport import PreparedTwoPortRun, run_fast_twoport
 from repro.simulation.noise import NoiseModel, perturb_sequence
@@ -73,42 +79,69 @@ def noise_seed(seed: int, platform_index: int, size: int) -> int:
     return seed * 100_003 + platform_index * 1_009 + int(size)
 
 
+#: The kinds of a cell's whole noise stream, per participant-count tuple.
+_CELL_KINDS: dict[tuple[int, ...], tuple[str, ...]] = {}
+
+
 @dataclass(frozen=True)
 class PreparedCell:
     """One (factor set, size) pair with every noise-independent step done.
 
     ``lp_ratios`` are the (noise-free) LP ratio entries and
     ``participants`` each heuristic's worker count after the paper's
-    rounding.  The measurement side — empty for LP-only cells — is the
-    concatenation of the heuristics' prepared replays (see
-    :class:`~repro.simulation.executor.PreparedMeasurement`): one batched
-    ``perturb_sequence`` call per platform draws the cell's whole noise
-    stream — in exactly the order the per-run path would — and the
-    heuristics' slices are replayed vectorised across the whole chunk.
+    rounding.  The measurement side — absent for LP-only cells — is the
+    cell's rows of its chunk's layout: ``durations`` is the whole noise
+    stream (each heuristic's ``3p`` operations in draw order, heuristic
+    after heuristic), ``sigma2_positions`` each heuristic's return slots
+    and ``senders`` its participants' worker indices into ``names``, all
+    views of chunk-wide arrays.  One batched ``perturb_sequence`` call per
+    occurrence draws the stream — in exactly the order the per-run path
+    would — and :func:`replay_grouped` replays the whole chunk.
     """
 
     lp_ratios: tuple[tuple[str, float], ...]
     reference_time: float
     participants: tuple[int, ...]
-    prepared: tuple = ()
     durations: np.ndarray | None = None
-    kinds: tuple[str, ...] = ()
-    workers: tuple[str, ...] = ()
-    offsets: tuple[int, ...] = ()
+    sigma2_positions: np.ndarray | None = None
+    senders: np.ndarray | None = None
+    names: tuple[str, ...] = ()
+
+    @property
+    def kinds(self) -> tuple[str, ...]:
+        """The operation kind of every entry of ``durations``."""
+        kinds = _CELL_KINDS.get(self.participants)
+        if kinds is None:
+            kinds = _CELL_KINDS[self.participants] = tuple(
+                kind for p in self.participants for kind in kind_pattern(p)
+            )
+        return kinds
+
+    def workers(self, noise: NoiseModel) -> tuple[str, ...]:
+        """The worker of every entry of ``durations``, for ``noise``.
+
+        Empty for models that pre-draw: they never read the workers.
+        """
+        if getattr(noise, "predraws", False):
+            return ()
+        senders = self.senders.tolist()
+        positions = self.sigma2_positions.tolist()
+        workers: list[str] = []
+        start = 0
+        for p in self.participants:
+            sigma1 = [self.names[index] for index in senders[start : start + p]]
+            workers.extend(operation_workers(sigma1, positions[start : start + p]))
+            start += p
+        return tuple(workers)
 
     def measure(self, noise: NoiseModel) -> list[float]:
         """Measured makespans of every heuristic, one batched draw.
 
-        Scalar reference path (the runner batches the replays with
-        :func:`replay_grouped` instead); kept for tests and small callers.
+        The runner draws and replays whole chunks instead; kept for tests
+        and small callers.
         """
-        perturbed = perturb_sequence(noise, self.durations, self.kinds, self.workers)
-        return [
-            measurement.makespan(perturbed[start:end])
-            for measurement, start, end in zip(
-                self.prepared, self.offsets, self.offsets[1:]
-            )
-        ]
+        perturbed = perturb_sequence(noise, self.durations, self.kinds, self.workers(noise))
+        return replay_grouped([(0, 0, self, perturbed)], len(self.participants))[0].tolist()
 
 
 def replay_grouped(
@@ -118,37 +151,29 @@ def replay_grouped(
     """Replay every (occurrence, heuristic) run, vectorised per q.
 
     Returns the ``(len(occurrences), heuristic_count)`` makespan matrix.
-    The timeline arithmetic is the one-port replay of
-    :meth:`PreparedMeasurement.makespan` run row-parallel — cumulative
-    sends, computes at send end, returns folded left-to-right with
-    ``maximum`` — and produces the same floats (sequential ``cumsum`` and
-    elementwise ``maximum``/``add`` match the scalar operations).
+    The occurrences' perturbed streams are concatenated once, and each
+    participant count's runs are gathered with one fancy index and
+    replayed row-parallel by
+    :func:`~repro.simulation.executor.replay_timelines`.
     """
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for index, (_, _, cell, _) in enumerate(occurrences):
-        for slot, measurement in enumerate(cell.prepared):
-            groups.setdefault(measurement.participant_count, []).append((index, slot))
+    perturbed = np.concatenate([payload for _, _, _, payload in occurrences])
+    sigma2 = np.concatenate([cell.sigma2_positions for _, _, cell, _ in occurrences])
+    participants = np.array(
+        [cell.participants for _, _, cell, _ in occurrences], dtype=np.intp
+    ).reshape(-1, heuristic_count)
+    # Each run's first operation in the concatenated streams (its returns
+    # start a third of the way into the concatenated sigma2 positions).
+    lengths = 3 * participants.ravel()
+    starts = np.cumsum(lengths) - lengths
 
-    makespans = np.empty((len(occurrences), heuristic_count))
-    for q, members in groups.items():
-        count = len(members)
-        perturbed = np.empty((count, 3 * q))
-        sigma2_positions = np.empty((count, q), dtype=np.intp)
-        for row, (index, slot) in enumerate(members):
-            cell = occurrences[index][2]
-            perturbed[row] = occurrences[index][3][cell.offsets[slot] : cell.offsets[slot + 1]]
-            sigma2_positions[row] = cell.prepared[slot].sigma2_positions
-        send_index, compute_index = timeline_indices(q)
-        send_end = np.cumsum(perturbed[:, send_index], axis=1)
-        compute_end = send_end + perturbed[:, compute_index]
-        collected = np.take_along_axis(compute_end, sigma2_positions, axis=1)
-        returns = perturbed[:, 2 * q :]
-        port_free = send_end[:, q - 1]
-        for i in range(q):
-            port_free = np.maximum(port_free, collected[:, i]) + returns[:, i]
-        rows = np.array([index for index, _ in members])
-        slots = np.array([slot for _, slot in members])
-        makespans[rows, slots] = port_free
+    makespans = np.empty(participants.shape)
+    flat = makespans.reshape(-1)
+    for q in np.unique(participants).tolist():
+        members = np.flatnonzero(lengths == 3 * q)
+        first = starts[members, None]
+        flat[members] = replay_timelines(
+            perturbed[first + np.arange(3 * q)], sigma2[first // 3 + np.arange(q)]
+        )
     return makespans
 
 
@@ -227,39 +252,42 @@ def _solve_stacked_orders(
         groups.setdefault(len(order), []).append(flat)
     loads_rows: list[np.ndarray] = [None] * len(orders)  # type: ignore[list-item]
     for q, flats in groups.items():
-        c_matrix = np.empty((len(flats), q))
-        w_matrix = np.empty((len(flats), q))
-        d_matrix = np.empty((len(flats), q))
-        rank2 = np.empty((len(flats), q), dtype=np.int64)
-        identity = np.arange(q)
-        fifo_only = True
-        for row, flat in enumerate(flats):
-            _, c, w, d, _, _, _ = tables[flat // slots]
-            order = orders[flat]
-            c_matrix[row] = c[order]
-            w_matrix[row] = w[order]
-            d_matrix[row] = d[order]
-            if reversed_returns is not None and reversed_returns[flat]:
-                # sigma2 = reversed(sigma1): position i is collected at
-                # rank q-1-i, exactly the scalar build's rank vector.
-                rank2[row] = identity[::-1]
-                fifo_only = False
-            else:
-                rank2[row] = identity
+        order_matrix = np.array([orders[flat] for flat in flats])
+        c_matrix, w_matrix, d_matrix = _ordered_costs(
+            tables, np.array(flats) // slots, order_matrix
+        )
+        reversed_rows = [reversed_returns[flat] for flat in flats] if reversed_returns else []
+        rank2 = None
+        if any(reversed_rows):
+            # sigma2 = reversed(sigma1): position i is collected at rank
+            # q-1-i, exactly the scalar build's rank vector.
+            identity = np.arange(q)
+            rank2 = np.where(np.array(reversed_rows)[:, None], identity[::-1], identity)
         if one_port:
-            a, b = scenario_arrays_batch(
-                c_matrix, w_matrix, d_matrix, rank2=None if fifo_only else rank2
-            )
+            a, b = scenario_arrays_batch(c_matrix, w_matrix, d_matrix, rank2=rank2)
         else:
-            a, b = two_port_arrays_batch(
-                c_matrix, w_matrix, d_matrix, rank2=None if fifo_only else rank2
-            )
+            a, b = two_port_arrays_batch(c_matrix, w_matrix, d_matrix, rank2=rank2)
         solved = solve_scenario_arrays_batch(
             a, b, kernel="batch_scenario" if one_port else "batch_twoport"
         )
         for row, flat in enumerate(flats):
             loads_rows[flat] = solved.loads[row]
     return loads_rows
+
+
+def _ordered_costs(tables, table_ids: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """The ``(3, rows, q)`` costs ``c``, ``w``, ``d`` of ordered pairs.
+
+    Row ``k`` holds table ``table_ids[k]``'s costs permuted by
+    ``orders[k]`` (tables of one worker count ``q``).
+    """
+    unique, inverse = np.unique(table_ids, return_inverse=True)
+    stacked = np.concatenate(
+        [cost for index in unique.tolist() for cost in tables[index][1:4]]
+    ).reshape(-1, 3, orders.shape[1])
+    return np.take_along_axis(
+        stacked[inverse].transpose(1, 0, 2), orders[None], axis=2
+    )
 
 
 def _cell_ratios(throughputs, reference: str, total: int, heuristic_names):
@@ -277,20 +305,34 @@ def _cell_ratios(throughputs, reference: str, total: int, heuristic_names):
     return reference_time, lp_ratios
 
 
-def _rounded_counts(values: list[float], total: int) -> tuple[list[int], int]:
-    """The paper's integer counts of one load vector and its participant count.
+def _round_pairs(pair_loads: list, total: int):
+    """The paper's rounding of every (cell, heuristic) load row at once.
 
-    The one rounding of each (cell, heuristic) pair: LP-only cells keep
-    just the participant count, measured cells lay their replay out from
-    the same counts.  Mirrors ``measure_heuristic``'s ``round_loads``.
+    Rows are stacked per worker count and each stack is rounded with one
+    :func:`~repro.core.rounding.round_values` call — the one rounding of
+    each pair, mirroring ``measure_heuristic``'s ``round_loads``.  Returns
+    each pair's throughput (the Python ``sum`` of its row: the unit
+    deadline makes the total load the throughput), its participant count,
+    and per worker count the pair indices with their ``(rows, q)`` counts.
     """
-    counts = round_values(values, total)
-    # Loads are non-negative, so are their counts: the zeros are exactly
-    # the idle workers.
-    participants = len(counts) - counts.count(0)
-    if not participants:
+    groups: dict[int, list[int]] = {}
+    for flat, values in enumerate(pair_loads):
+        groups.setdefault(len(values), []).append(flat)
+    throughputs = [0.0] * len(pair_loads)
+    participants = np.empty(len(pair_loads), dtype=np.int64)
+    rounded = []
+    for flats in groups.values():
+        loads = np.array([pair_loads[flat] for flat in flats])
+        for flat, row in zip(flats, loads.tolist()):
+            throughputs[flat] = sum(row)
+        counts = round_values(loads, total)
+        # Loads are non-negative, so are their counts: the zeros are
+        # exactly the idle workers.
+        participants[flats] = (counts != 0).sum(axis=1)
+        rounded.append((np.array(flats), counts))
+    if not participants.all():
         raise ScheduleError("rounded schedule has no participating worker")
-    return counts, participants
+    return throughputs, participants, rounded
 
 
 def prepare_cells(
@@ -306,15 +348,16 @@ def prepare_cells(
     Each table is one scenario cell: a platform's cost vectors at one grid
     point of whatever workload produced them — a matrix size for the
     matrix workload (Figures 10-13), a bus ``w/c`` ratio for a
-    bus-workload space.  Every LP
-    the batch needs — one per (table, LP-backed
-    heuristic) pair — is stacked into one batched kernel call per worker
-    count; throughputs and prepared replays are assembled straight from
-    the kernel's load vectors, no platform or schedule objects at all.
-    Each load vector is rounded once; the replay material is built from
-    those counts only when the cells will be ``measured`` (the runner
-    passes ``spec.noise is not None``), so LP-only cells carry just their
-    ratios and participant counts.  Everything here is bit-identical to
+    bus-workload space.  Every LP the batch needs — one per (table,
+    LP-backed heuristic) pair — is stacked into one batched kernel call
+    per worker count; throughputs and prepared replays are assembled
+    straight from the kernel's load vectors, no platform or schedule
+    objects at all.  Every (table, heuristic) load row is rounded once, in
+    one row-wise call per worker count; the replay layouts are built from
+    those counts, again one row-wise call per worker count, only when the
+    cells will be ``measured`` (the runner passes ``spec.noise is not
+    None``), so LP-only cells carry just their ratios and participant
+    counts.  Everything here is bit-identical to
     evaluating :func:`repro.core.heuristics.compare_heuristics` and
     :func:`repro.simulation.executor.measure_heuristic` per cell — the
     public reference path the test-suite pins this engine against.
@@ -337,7 +380,7 @@ def prepare_cells(
                 f"unknown heuristic {name!r}; available: {sorted(HEURISTICS)}"
             )
     lp_names = [name for name in heuristic_names if name in ORDER_RULES]
-    total = total_tasks
+    heuristic_count = len(heuristic_names)
 
     tables = _cost_tables(keyed_tables)
     orders = [
@@ -347,68 +390,85 @@ def prepare_cells(
     ]
     loads_rows = _solve_stacked_orders(tables, orders)
 
+    # Every (table, heuristic) pair in flat order: its sigma1 order and its
+    # loads, kernel rows and closed-form LIFO rows alike.
     lp_slots = {name: offset for offset, name in enumerate(lp_names)}
-    cells: dict[tuple, PreparedCell] = {}
-    for index, ((key, _, _, _), table) in enumerate(zip(keyed_tables, tables)):
-        names, _, _, _, c_list, w_list, d_list = table
-        throughputs: dict[str, float] = {}
-        participants = []
-        prepared: list[PreparedMeasurement] = []
+    pair_orders: list[list[int]] = []
+    pair_loads: list = []
+    for index, (names, _, _, _, c_list, w_list, d_list) in enumerate(tables):
         for name in heuristic_names:
             slot = lp_slots.get(name)
             if slot is None:
                 # The only non-LP heuristic: the closed-form optimal LIFO.
                 order = sorted_indices(names, c_list)
-                values = lifo_chain_values(c_list, w_list, d_list, order)
+                pair_loads.append(lifo_chain_values(c_list, w_list, d_list, order))
             else:
                 flat = index * len(lp_names) + slot
                 order = orders[flat]
-                values = loads_rows[flat].tolist()
-            # sum(values) is the schedule's total load; the unit deadline
-            # makes it the throughput (same float as total_load / 1.0).
-            throughputs[name] = sum(values)
-            counts, participant_count = _rounded_counts(values, total)
-            participants.append(participant_count)
-            if not measured:
-                continue
-            ordered_names = [names[i] for i in order]
-            prepared.append(
-                prepare_measurement_arrays(
-                    (
-                        [c_list[i] for i in order],
-                        [w_list[i] for i in order],
-                        [d_list[i] for i in order],
-                    ),
-                    ordered_names,
-                    ordered_names if slot is not None else ordered_names[::-1],
-                    counts,
-                )
-            )
-
-        reference_time, lp_ratios = _cell_ratios(
-            throughputs, reference, total, heuristic_names
+                pair_loads.append(loads_rows[flat])
+            pair_orders.append(order)
+    throughputs, participants, rounded = _round_pairs(pair_loads, total_tasks)
+    if measured:
+        durations, sigma2_positions, senders, starts = _chunk_layout(
+            tables, heuristic_names, pair_orders, participants, rounded
         )
+    participants = participants.tolist()
+
+    cells: dict[tuple, PreparedCell] = {}
+    for index, ((key, _, _, _), table) in enumerate(zip(keyed_tables, tables)):
+        first = index * heuristic_count
+        reference_time, lp_ratios = _cell_ratios(
+            dict(zip(heuristic_names, throughputs[first : first + heuristic_count])),
+            reference, total_tasks, heuristic_names,
+        )
+        cell_participants = tuple(participants[first : first + heuristic_count])
         if not measured:
-            cells[key] = PreparedCell(
-                lp_ratios=lp_ratios,
-                reference_time=reference_time,
-                participants=tuple(participants),
-            )
+            cells[key] = PreparedCell(lp_ratios, reference_time, cell_participants)
             continue
-        offsets = [0]
-        for measurement in prepared:
-            offsets.append(offsets[-1] + len(measurement.durations))
+        start, stop = starts[first], starts[first + heuristic_count]
         cells[key] = PreparedCell(
-            lp_ratios=lp_ratios,
-            reference_time=reference_time,
-            participants=tuple(participants),
-            prepared=tuple(prepared),
-            durations=np.concatenate([m.durations for m in prepared]),
-            kinds=tuple(kind for m in prepared for kind in m.kinds),
-            workers=tuple(worker for m in prepared for worker in m.workers),
-            offsets=tuple(offsets),
+            lp_ratios,
+            reference_time,
+            cell_participants,
+            durations=durations[3 * start : 3 * stop],
+            sigma2_positions=sigma2_positions[start:stop],
+            senders=senders[start:stop],
+            names=table[0],
         )
     return cells
+
+
+def _chunk_layout(tables, heuristic_names, pair_orders, participants, rounded):
+    """Replay layouts of every (cell, heuristic) pair, as chunk-wide arrays.
+
+    One :func:`~repro.simulation.executor.prepare_measurement_arrays` call
+    per worker count lays out all its pairs at once (FIFO pairs collect in
+    ``sigma1`` order, LIFO ones in reverse); the groups are then scattered
+    into flat arrays in pair order.  Pair ``k``'s ``p`` participants take
+    entries ``starts[k]:starts[k + 1]`` of ``sigma2_positions`` and
+    ``senders``, and its ``3p`` operations ``3 * starts[k]:3 * starts[k + 1]``
+    of ``durations``.
+    """
+    heuristic_count = len(heuristic_names)
+    lifo = np.array([name not in ORDER_RULES for name in heuristic_names])
+    starts = np.zeros(len(participants) + 1, dtype=np.intp)
+    np.cumsum(participants, out=starts[1:])
+    durations = np.empty(3 * starts[-1])
+    sigma2_positions = np.empty(starts[-1], dtype=np.intp)
+    senders = np.empty(starts[-1], dtype=np.intp)
+    for flats, counts in rounded:
+        orders = np.array([pair_orders[flat] for flat in flats.tolist()])
+        costs = _ordered_costs(tables, flats // heuristic_count, orders)
+        identity = np.arange(counts.shape[1])
+        sigma2 = np.where(lifo[flats % heuristic_count, None], identity[::-1], identity)
+        for p, group in prepare_measurement_arrays(costs, counts, sigma2).items():
+            first = starts[flats[group.rows], None]
+            durations[3 * first + np.arange(3 * p)] = group.durations
+            sigma2_positions[first + np.arange(p)] = group.sigma2_positions
+            senders[first + np.arange(p)] = np.take_along_axis(
+                orders[group.rows], group.senders, axis=1
+            )
+    return durations, sigma2_positions, senders, starts.tolist()
 
 
 def _prepare_two_port_cells(
@@ -434,7 +494,6 @@ def _prepare_two_port_cells(
                 f"unknown two-port heuristic {name!r}; "
                 f"available: {sorted(TWO_PORT_ORDER_RULES)}"
             )
-    total = total_tasks
     heuristic_count = len(heuristic_names)
 
     tables = _cost_tables(keyed_tables)
@@ -449,44 +508,43 @@ def _prepare_two_port_cells(
     loads_rows = _solve_stacked_orders(
         tables, orders, reversed_returns=reversed_returns, one_port=False
     )
+    # Rounding mirrors measure_heuristic's round_loads: integer counts
+    # summing to the total, zero-load workers dropped from both sigmas
+    # (reversal and filtering commute).
+    throughputs, participants, rounded = _round_pairs(loads_rows, total_tasks)
+    participants = participants.tolist()
+    pair_counts: list = [None] * len(orders)
+    for flats, counts in rounded:
+        for flat, row in zip(flats.tolist(), counts.tolist()):
+            pair_counts[flat] = row
 
     cells: dict[tuple, TwoPortCell] = {}
     for index, ((key, _, _, _), table) in enumerate(zip(keyed_tables, tables)):
         names, _, _, _, c_list, w_list, d_list = table
-        costs = np.array((c_list, w_list, d_list)) if measured else None
-        throughputs: dict[str, float] = {}
-        participants = []
+        first = index * heuristic_count
         prepared: list[PreparedTwoPortRun] = []
-        for offset, name in enumerate(heuristic_names):
-            flat = index * heuristic_count + offset
-            values = loads_rows[flat].tolist()
-            throughputs[name] = sum(values)
-            # Rounding mirrors measure_heuristic's round_loads: integer
-            # counts summing to the total, zero-load workers dropped from
-            # both sigmas (reversal and filtering commute).
-            counts, participant_count = _rounded_counts(values, total)
-            participants.append(participant_count)
-            if not measured:
-                continue
-            order = orders[flat]
-            active = [order[k] for k, count in enumerate(counts) if count > 0]
-            loads = np.array([count for count in counts if count > 0], dtype=float)
-            collect = np.arange(len(active))
-            prepared.append(
-                PreparedTwoPortRun(
-                    workers=tuple(names[i] for i in active),
-                    durations=costs.take(active, axis=1) * loads,
-                    collect=collect[::-1] if reversed_returns[flat] else collect,
+        if measured:
+            costs = np.array((c_list, w_list, d_list))
+            for flat in range(first, first + heuristic_count):
+                order, counts = orders[flat], pair_counts[flat]
+                active = [order[k] for k, count in enumerate(counts) if count > 0]
+                loads = np.array([count for count in counts if count > 0], dtype=float)
+                collect = np.arange(len(active))
+                prepared.append(
+                    PreparedTwoPortRun(
+                        workers=tuple(names[i] for i in active),
+                        durations=costs.take(active, axis=1) * loads,
+                        collect=collect[::-1] if reversed_returns[flat] else collect,
+                    )
                 )
-            )
-
         reference_time, lp_ratios = _cell_ratios(
-            throughputs, reference, total, heuristic_names
+            dict(zip(heuristic_names, throughputs[first : first + heuristic_count])),
+            reference, total_tasks, heuristic_names,
         )
         cells[key] = TwoPortCell(
             lp_ratios=lp_ratios,
             reference_time=reference_time,
-            participants=tuple(participants),
+            participants=tuple(participants[first : first + heuristic_count]),
             prepared=tuple(prepared),
         )
     return cells

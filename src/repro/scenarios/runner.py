@@ -277,7 +277,7 @@ def _evaluate_lp_chunk(
                     # One-port: the draw order is static, so the cell's
                     # whole stream is drawn here in one batched call.
                     payload = perturb_sequence(
-                        noise, cell.durations, cell.kinds, cell.workers
+                        noise, cell.durations, cell.kinds, cell.workers(noise)
                     )
                 else:
                     # Two-port: the draw order depends on the realised

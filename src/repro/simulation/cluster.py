@@ -156,18 +156,16 @@ class ClusterSimulation:
     one_port:
         Enforce the one-port model (default) or the two-port model.
     engine:
-        ``"auto"`` (default) replays executions analytically — the one-port
-        model through :func:`~repro.simulation.fast_cluster.
-        run_fast_timeline` (static timeline, batched noise draws) and the
-        two-port model through :func:`~repro.simulation.fast_twoport.
-        run_twoport_assignment` (the campaigns' lockstep merge-ordered
-        replay, run as a batch of one) — with the same event times and
-        noise draws as the discrete-event engine, bit-identical.  The
-        one-port replay is an order of magnitude faster than the engine; the
-        two-port batch of one pays the lockstep's per-step array overhead
-        for a single run, which only batches of many runs amortise.
-        ``"event"`` forces the discrete-event engine; ``"fast"`` forces the
-        analytic replay.
+        ``"auto"`` (default) replays one-port executions analytically
+        through :func:`~repro.simulation.fast_cluster.run_fast_timeline`
+        (static timeline, batched noise draws), an order of magnitude
+        faster than the discrete-event engine, and runs two-port executions
+        on the engine: the campaigns' lockstep merge-ordered replay
+        (:func:`~repro.simulation.fast_twoport.run_twoport_assignment`)
+        only pays off over batches of many runs, and a batch of one is
+        slower than the engine.  ``"event"`` forces the discrete-event
+        engine; ``"fast"`` forces the analytic replays.  Every engine has
+        the same event times and noise draws, bit-identical.
     """
 
     def __init__(
@@ -217,14 +215,14 @@ class ClusterSimulation:
             if name not in self.platform:
                 raise SimulationError(f"unknown worker {name!r}")
 
-        if self.engine in ("auto", "fast"):
-            if self.one_port:
-                from repro.simulation.fast_cluster import run_fast_timeline
+        if self.one_port and self.engine != "event":
+            from repro.simulation.fast_cluster import run_fast_timeline
 
-                return run_fast_timeline(
-                    self.platform, loads, sigma1, sigma2, self.noise,
-                    collect_trace=self.collect_trace,
-                )
+            return run_fast_timeline(
+                self.platform, loads, sigma1, sigma2, self.noise,
+                collect_trace=self.collect_trace,
+            )
+        if self.engine == "fast":
             from repro.simulation.fast_twoport import run_twoport_assignment
 
             return run_twoport_assignment(

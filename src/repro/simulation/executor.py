@@ -13,11 +13,19 @@ cluster).  It mirrors the workflow of the paper's experiments:
 
 :func:`execute_schedule` performs step 3; :func:`measure_heuristic` performs
 steps 2–3 from a heuristic result and reports both numbers.
+
+Campaigns measure many rounded schedules under many noise streams, so the
+noise-independent part of step 3 is split off:
+:func:`prepare_measurement_arrays` lays a whole matrix of rounded load
+rows out for replay at once (grouped by participant count, in the
+replay's draw order), and :func:`prepare_measurement` /
+:class:`PreparedMeasurement` are its one-row form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,12 +39,16 @@ from repro.simulation.noise import NoiseModel, perturb_sequence
 
 __all__ = [
     "ExecutionReport",
+    "LayoutGroup",
     "PreparedMeasurement",
     "execute_schedule",
+    "kind_pattern",
     "measure_heuristic",
+    "operation_workers",
     "prepare_measurement",
     "prepare_measurement_arrays",
     "prepare_measurement_parts",
+    "replay_timelines",
 ]
 
 
@@ -137,25 +149,32 @@ class PreparedMeasurement:
 
     def makespan(self, perturbed) -> float:
         """Replay the one-port timeline over already-perturbed durations."""
-        q = self.participant_count
-        values = perturbed.tolist() if isinstance(perturbed, np.ndarray) else list(perturbed)
-        # Sends back-to-back; compute k ends at send_end[k] + its duration.
-        send_end = [0.0] * q
-        compute_end = [0.0] * q
-        clock = values[0]
-        send_end[0] = clock
-        for k in range(1, q):
-            clock += values[2 * k - 1]
-            send_end[k] = clock
-            compute_end[k - 1] = send_end[k - 1] + values[2 * k]
-        compute_end[q - 1] = send_end[q - 1] + values[2 * q - 1]
-        # Returns serialised on the port after the last send; the last
-        # return's end is the makespan (ends are non-decreasing).
-        port_free = clock
-        for slot, position in enumerate(self.sigma2_positions):
-            start = max(port_free, compute_end[position])
-            port_free = start + values[2 * q + slot]
-        return port_free
+        runs = np.asarray(perturbed, dtype=float)[None]
+        return float(replay_timelines(runs, np.array([self.sigma2_positions]))[0])
+
+
+def replay_timelines(runs: np.ndarray, sigma2_positions: np.ndarray) -> np.ndarray:
+    """Makespans of one-port runs of ``p`` participants each, row-parallel.
+
+    Each row of ``runs`` holds one run's ``3p`` perturbed durations in
+    draw order and the matching row of ``sigma2_positions`` its return
+    slots (see :class:`LayoutGroup`).  Sends go back to back, compute ``k``
+    ends at send ``k``'s end plus its duration, and the returns are
+    serialised on the port after the last send, each waiting for its
+    compute: the last return's end is the makespan.  Sequential ``cumsum``
+    and elementwise ``maximum``/``add`` give every row the floats of the
+    scalar replay.
+    """
+    q = sigma2_positions.shape[1]
+    send_index, compute_index = timeline_indices(q)
+    send_end = np.cumsum(runs[:, send_index], axis=1)
+    compute_end = send_end + runs[:, compute_index]
+    collected = np.take_along_axis(compute_end, sigma2_positions, axis=1)
+    returns = runs[:, 2 * q :]
+    port_free = send_end[:, q - 1]
+    for i in range(q):
+        port_free = np.maximum(port_free, collected[:, i]) + returns[:, i]
+    return port_free
 
 
 #: Cached per-participant-count kind layouts (the layout depends on ``q``
@@ -163,12 +182,27 @@ class PreparedMeasurement:
 _KIND_PATTERNS: dict[int, tuple[str, ...]] = {}
 
 
-def _kind_pattern(q: int) -> tuple[str, ...]:
+def kind_pattern(q: int) -> tuple[str, ...]:
+    """The operation kinds of a ``q``-participant run, in draw order."""
     pattern = _KIND_PATTERNS.get(q)
     if pattern is None:
         kinds = ["send"] + ["send", "compute"] * (q - 1) + ["compute"] + ["return"] * q
         pattern = _KIND_PATTERNS[q] = tuple(kinds)
     return pattern
+
+
+def operation_workers(sigma1, sigma2_positions) -> tuple[str, ...]:
+    """The worker of every operation of one run, in draw order.
+
+    ``sigma1`` names the participants in send order and
+    ``sigma2_positions`` their return slots (see :class:`LayoutGroup`).
+    """
+    workers = [sigma1[0]]
+    for k in range(1, len(sigma1)):
+        workers += (sigma1[k], sigma1[k - 1])
+    workers.append(sigma1[-1])
+    workers.extend(sigma1[position] for position in sigma2_positions)
+    return tuple(workers)
 
 
 #: Cached per-q gather indices into the interleaved duration layout:
@@ -214,73 +248,84 @@ def prepare_measurement_parts(
     """:func:`prepare_measurement` from raw schedule components.
 
     ``values`` are the unit-deadline loads in ``schedule_sigma1`` order,
-    rounded here to integers summing to ``int(round(total_load))``.
+    rounded here to integers summing to ``int(round(total_load))``; the
+    layout is :func:`prepare_measurement_arrays` of that one row.
     """
     if total_load <= 0:
         raise SimulationError("total_load must be positive")
     total = int(round(total_load))
     if total <= 0:
         raise ScheduleError("total must be positive")
-    return prepare_measurement_arrays(
-        platform.cost_vectors(schedule_sigma1),
-        schedule_sigma1,
-        schedule_sigma2,
-        round_values(values, total),
-    )
-
-
-def prepare_measurement_arrays(
-    cost_vectors,
-    schedule_sigma1,
-    schedule_sigma2,
-    counts,
-) -> PreparedMeasurement:
-    """Lay out already-rounded integer loads for repeated noisy replay.
-
-    ``cost_vectors`` is the ``(c, w, d)`` triple and ``counts`` the
-    integer loads, both in ``schedule_sigma1`` order.  Campaign code that
-    holds the cost table and has rounded the kernel's load vector itself
-    calls this directly: no platform objects, and no second rounding.
-    """
-    rounded = dict(zip(schedule_sigma1, counts))
-    sigma1 = [name for name in schedule_sigma1 if rounded[name] > 0]
-    sigma2 = [name for name in schedule_sigma2 if rounded[name] > 0]
-    q = len(sigma1)
-    if q == 0:
-        raise ScheduleError("rounded schedule has no participating worker")
-
-    # Lay the active operations out in plain Python floats (cheaper than
-    # numpy at these worker counts; the arithmetic is identical).
-    full_c, full_w, full_d = cost_vectors
-    if isinstance(full_c, np.ndarray):
-        full_c, full_w, full_d = full_c.tolist(), full_w.tolist(), full_d.tolist()
-    active = [index for index, count in enumerate(counts) if count > 0]
-    sends = [float(counts[i]) * full_c[i] for i in active]
-    computes = [float(counts[i]) * full_w[i] for i in active]
-    returns = [float(counts[i]) * full_d[i] for i in active]
-
-    position = {name: index for index, name in enumerate(sigma1)}
-    sigma2_positions = tuple(position[name] for name in sigma2)
-    durations: list[float] = [sends[0]]
-    workers: list[str] = [sigma1[0]]
-    for k in range(1, q):
-        durations.append(sends[k])
-        workers.append(sigma1[k])
-        durations.append(computes[k - 1])
-        workers.append(sigma1[k - 1])
-    durations.append(computes[q - 1])
-    workers.append(sigma1[q - 1])
-    for name, index in zip(sigma2, sigma2_positions):
-        durations.append(returns[index])
-        workers.append(name)
-
+    position = {name: index for index, name in enumerate(schedule_sigma1)}
+    ((q, group),) = prepare_measurement_arrays(
+        np.array(platform.cost_vectors(schedule_sigma1))[:, None],
+        round_values([values], total),
+        [[position[name] for name in schedule_sigma2]],
+    ).items()
+    sigma1 = [schedule_sigma1[index] for index in group.senders[0].tolist()]
+    sigma2_positions = tuple(group.sigma2_positions[0].tolist())
     return PreparedMeasurement(
-        durations=np.array(durations),
-        kinds=_kind_pattern(q),
-        workers=tuple(workers),
+        durations=group.durations[0],
+        kinds=kind_pattern(q),
+        workers=operation_workers(sigma1, sigma2_positions),
         participant_count=q,
         sigma2_positions=sigma2_positions,
     )
+
+
+class LayoutGroup(NamedTuple):
+    """The replay layouts of the rows that keep ``p`` participants.
+
+    ``durations`` holds each row's ``3p`` operations in the replay's draw
+    order (see :class:`PreparedMeasurement`); ``sigma2_positions`` maps
+    each return slot to its worker's position among the participants in
+    ``sigma1`` order, and ``senders`` gives those participants' input
+    columns.
+    """
+
+    rows: np.ndarray
+    durations: np.ndarray
+    sigma2_positions: np.ndarray
+    senders: np.ndarray
+
+
+def prepare_measurement_arrays(costs, counts, sigma2) -> dict[int, LayoutGroup]:
+    """Lay out already-rounded integer loads for replay, row-wise.
+
+    ``counts`` is a ``(rows, q)`` matrix of integer loads and ``costs`` the
+    matching ``(3, rows, q)`` stack of ``c``, ``w`` and ``d``, both in each
+    row's ``sigma1`` order; ``sigma2`` gives each row's ``sigma1`` columns
+    in collection order.  Workers rounded to zero are dropped and the rows
+    come back grouped by participant count ``p`` (ascending), in input
+    order within a group.  Campaign code that holds the cost tables and has
+    rounded the kernel's load vectors itself lays a whole chunk out here:
+    no platform objects, and no second rounding.
+    """
+    counts = np.asarray(counts)
+    active = counts > 0
+    participants = active.sum(axis=1)
+    if not participants.all():
+        raise ScheduleError("rounded schedule has no participating worker")
+    q = counts.shape[1]
+    # Participant rank of every sigma1 column, read in sigma2 order.
+    sigma2 = np.asarray(sigma2)
+    collected = np.take_along_axis(active, sigma2, axis=1)
+    ranks = np.take_along_axis(np.cumsum(active, axis=1) - 1, sigma2, axis=1)
+    # float(count) * cost, exactly the scalar product.
+    scaled = counts * np.asarray(costs, dtype=float)
+    groups: dict[int, LayoutGroup] = {}
+    for p in np.unique(participants).tolist():
+        rows = np.flatnonzero(participants == p)
+        senders = (np.flatnonzero(active[rows]) % q).reshape(-1, p)
+        positions = ranks[rows][collected[rows]].reshape(-1, p)
+        sends, computes, returns = np.take_along_axis(scaled[:, rows], senders[None], axis=2)
+        send_index, compute_index = timeline_indices(p)
+        durations = np.empty((len(rows), 3 * p))
+        durations[:, send_index] = sends
+        durations[:, compute_index] = computes
+        durations[:, 2 * p :] = np.take_along_axis(returns, positions, axis=1)
+        groups[p] = LayoutGroup(rows, durations, positions, senders)
+    return groups
 
 
 def measure_heuristic(

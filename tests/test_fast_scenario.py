@@ -217,7 +217,7 @@ class TestFastTimelineReplay:
 
         assert sorted(map(key, fast.trace)) == sorted(map(key, event.trace))
 
-    def test_two_port_auto_uses_fast_replay(self, three_workers):
+    def test_two_port_auto_matches_event_engine(self, three_workers):
         simulation = ClusterSimulation(three_workers, one_port=False, engine="auto")
         loads = {name: 1.0 for name in three_workers.worker_names}
         run = simulation.run_assignment(

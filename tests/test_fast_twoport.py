@@ -87,16 +87,25 @@ class TestTwoPortReplay:
         ).run_assignment(loads, sigma1, sigma2)
         _assert_same_run(fast, event)
 
-    def test_auto_engine_dispatches_to_replay(self, three_workers):
+    def test_auto_engine_runs_lone_runs_on_event_engine(self, three_workers, monkeypatch):
+        """A batch of one is slower than the engine, so "auto" skips the
+        lockstep replay for a single two-port run; "fast" keeps it."""
+        from repro.simulation import fast_twoport
+
         loads = {name: 1.0 for name in three_workers.worker_names}
         names = three_workers.worker_names
+        fast = ClusterSimulation(three_workers, one_port=False, engine="fast").run_assignment(
+            loads, names, names
+        )
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("lockstep replay used")
+
+        monkeypatch.setattr(fast_twoport, "run_twoport_assignment", forbidden)
         auto = ClusterSimulation(three_workers, one_port=False).run_assignment(
             loads, names, names
         )
-        event = ClusterSimulation(
-            three_workers, one_port=False, engine="event"
-        ).run_assignment(loads, names, names)
-        _assert_same_run(auto, event)
+        _assert_same_run(fast, auto)
 
     def test_empty_assignment(self, three_workers):
         run = run_twoport_assignment(three_workers, {}, [], [], NoJitter())

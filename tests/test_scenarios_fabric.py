@@ -510,6 +510,33 @@ class TestHealReadsTheChunkPlan:
         assert "contradicts the chunk size 2" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("verb", ["merge", "heal"])
+    def test_resume_hint_targets_the_derived_space(self, tmp_path, capsys, verb):
+        """For a derived space the printed resume command parses back to
+        the same spec hash."""
+        import shlex
+
+        from repro.cli import build_parser, main
+        from repro.scenarios import CampaignStore, named_space, spec_hash
+
+        store = tmp_path / "store"
+        argv = ["fig12", "--store", str(store), "--count", "9", "--seed", "5"]
+        assert main(["scenarios", "run", *argv, "--chunk-size", "2", "--max-chunks", "1"]) == 0
+        capsys.readouterr()
+        assert main(["scenarios", verb, *argv]) == 0
+        hint = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "scenarios resume" in line
+        )
+        args = build_parser().parse_args(shlex.split(hint)[1:])
+        assert (args.count, args.seed, args.chunk_size) == (9, 5, 2)
+        # Running the hint finishes this campaign instead of starting another.
+        assert main(shlex.split(hint)[1:]) == 0
+        derived = named_space("fig12").derive(count=9, seed=5)
+        assert sorted(path.name for path in store.iterdir()) == [spec_hash(derived)]
+        assert len(CampaignStore(store).campaign(derived).completed_chunks) == 5
+
+
 class TestFaultSpecErrorPaths:
     """`from_spec` must name the offending term; valid specs round-trip."""
 

@@ -185,6 +185,30 @@ class TestTwoPortBytePins:
         assert hashlib.sha256(chunks).hexdigest() == digest
 
 
+class TestMeasuredBytePins:
+    """Measured one-port stores keep their exact bytes through the chunk layout.
+
+    fig10's homogeneous stars and fig11's equal links exercise sort ties.
+    """
+
+    @pytest.mark.parametrize(
+        "space, digest",
+        [
+            ("fig10", "d6e7938f3ec2ea50cdfca8ef09917dd21e10c8bb4438fc5f6ca539fa240a4b7c"),
+            ("fig11", "2a7900ce9b7a7adb0066d631310af0596267cec8eaeed4d6c2f46ce7cac2641e"),
+            ("fig12", "6145a4674c6b4615c3a0968db02640cf115cf40b373fc05e64b85dc3fec909d5"),
+            ("fig13a", "776774f9df072dd197a5054c6b17d4730899735d96637d7913033569619b1ec7"),
+            ("fig13b", "8e47a21a7e453fee7ef2fa9efd91fa8e81c5bb3b44e0b6a581d3b9f369baeae0"),
+        ],
+    )
+    def test_chunks_file_sha256(self, tmp_path, space, digest):
+        flags = ("--count", "6", "--chunk-size", "2")
+        assert main(["scenarios", "run", space, "--store", str(tmp_path), *flags]) == 0
+        spec = named_space(space).derive(count=6)
+        chunks = (tmp_path / spec_hash(spec) / "chunks.jsonl").read_bytes()
+        assert hashlib.sha256(chunks).hexdigest() == digest
+
+
 class TestResumeSemantics:
     def test_interrupted_campaign_resumes_bit_identically(self, tmp_path):
         spec = small_spec()
