@@ -79,10 +79,6 @@ def noise_seed(seed: int, platform_index: int, size: int) -> int:
     return seed * 100_003 + platform_index * 1_009 + int(size)
 
 
-#: The kinds of a cell's whole noise stream, per participant-count tuple.
-_CELL_KINDS: dict[tuple[int, ...], tuple[str, ...]] = {}
-
-
 @dataclass(frozen=True)
 class PreparedCell:
     """One (factor set, size) pair with every noise-independent step done.
@@ -94,7 +90,8 @@ class PreparedCell:
     stream (each heuristic's ``3p`` operations in draw order, heuristic
     after heuristic), ``sigma2_positions`` each heuristic's return slots
     and ``senders`` its participants' worker indices into ``names``, all
-    views of chunk-wide arrays.  One batched ``perturb_sequence`` call per
+    views of chunk-wide arrays; ``kinds`` is each entry's operation kind.
+    One batched ``perturb_sequence`` call per
     occurrence draws the stream — in exactly the order the per-run path
     would — and :func:`replay_grouped` replays the whole chunk.
     """
@@ -106,16 +103,7 @@ class PreparedCell:
     sigma2_positions: np.ndarray | None = None
     senders: np.ndarray | None = None
     names: tuple[str, ...] = ()
-
-    @property
-    def kinds(self) -> tuple[str, ...]:
-        """The operation kind of every entry of ``durations``."""
-        kinds = _CELL_KINDS.get(self.participants)
-        if kinds is None:
-            kinds = _CELL_KINDS[self.participants] = tuple(
-                kind for p in self.participants for kind in kind_pattern(p)
-            )
-        return kinds
+    kinds: tuple[str, ...] = ()
 
     def workers(self, noise: NoiseModel) -> tuple[str, ...]:
         """The worker of every entry of ``durations``, for ``noise``.
@@ -414,6 +402,9 @@ def prepare_cells(
         )
     participants = participants.tolist()
 
+    # The kinds of a whole noise stream depend on the participant counts
+    # only: cells sharing them share one tuple.
+    stream_kinds: dict[tuple[int, ...], tuple[str, ...]] = {}
     cells: dict[tuple, PreparedCell] = {}
     for index, ((key, _, _, _), table) in enumerate(zip(keyed_tables, tables)):
         first = index * heuristic_count
@@ -425,6 +416,11 @@ def prepare_cells(
         if not measured:
             cells[key] = PreparedCell(lp_ratios, reference_time, cell_participants)
             continue
+        kinds = stream_kinds.get(cell_participants)
+        if kinds is None:
+            kinds = stream_kinds[cell_participants] = tuple(
+                kind for p in cell_participants for kind in kind_pattern(p)
+            )
         start, stop = starts[first], starts[first + heuristic_count]
         cells[key] = PreparedCell(
             lp_ratios,
@@ -434,6 +430,7 @@ def prepare_cells(
             sigma2_positions=sigma2_positions[start:stop],
             senders=senders[start:stop],
             names=table[0],
+            kinds=kinds,
         )
     return cells
 

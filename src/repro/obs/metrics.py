@@ -38,6 +38,9 @@ __all__ = [
 #: overflow slot.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0)
 
+#: One shared sorted-key encoder, reused by every snapshot rewrite.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
 
 class MetricsRegistry:
     """Thread-safe counters, gauges and fixed-bucket histograms."""
@@ -81,8 +84,10 @@ class MetricsRegistry:
             histogram["counts"][slot] += 1
             histogram["sum"] += value
             histogram["count"] += 1
-            histogram["min"] = min(histogram["min"], value)
-            histogram["max"] = max(histogram["max"], value)
+            if value < histogram["min"]:
+                histogram["min"] = value
+            if value > histogram["max"]:
+                histogram["max"] = value
 
     def snapshot(self, owner: str | None = None) -> dict:
         """A JSON-serialisable copy of every metric (plus provenance)."""
@@ -113,14 +118,14 @@ class MetricsRegistry:
             self._histograms.clear()
 
 
-def write_snapshot(path: Path, snapshot: dict, fsync: bool = False) -> None:
+def write_snapshot(path: str | Path, snapshot: dict, fsync: bool = False) -> None:
     """Atomically (re)write one snapshot file (``tmp`` + ``rename``)."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    path = os.fspath(path)
+    tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
-        # dumps + write, not json.dump: only the one-shot encode path
+        # encode + write, not json.dump: only the one-shot encode path
         # takes the C encoder, and snapshots are rewritten per chunk.
-        handle.write(json.dumps(snapshot, sort_keys=True))
+        handle.write(_encode_sorted(snapshot))
         if fsync:
             handle.flush()
             os.fsync(handle.fileno())

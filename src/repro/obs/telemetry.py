@@ -5,11 +5,12 @@ One :class:`Telemetry` binds an output directory (a store's
 
 * ``off`` — disabled; every instrumentation site reduces to one boolean
   attribute check;
-* ``on`` — spans written whole and flushed to the OS per line (readers
-  see them immediately), fsynced only at explicit :meth:`Telemetry.flush`
-  / :meth:`Telemetry.close` checkpoints (campaign end; the detached
-  worker checkpoints per chunk), metrics snapshotted at top-level span
-  boundaries throttled to once a second — the cheap mode, gated < 2%
+* ``on`` — spans written whole to the OS per line (readers see them
+  immediately), fsynced only at explicit :meth:`Telemetry.flush` /
+  :meth:`Telemetry.close` checkpoints (per chunk group and at campaign
+  end; the detached worker checkpoints per chunk), metrics snapshotted at
+  top-level span boundaries and chunk-group checkpoints throttled to once
+  a second, and at every other checkpoint — the cheap mode, gated < 2%
   campaign overhead by ``bench-check``;
 * ``verbose`` — every span line flushed + fsynced individually, metrics
   snapshotted at every top-level boundary, and per-call kernel profile
@@ -77,6 +78,10 @@ DEFAULT_ROTATE_BYTES = 64 * 1024 * 1024
 
 _OWNER_SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
+#: One shared sorted-key encoder: ``json.dumps(..., sort_keys=True)``
+#: would build a fresh ``JSONEncoder`` for every span line.
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
 
 def _sanitize_owner(owner: str) -> str:
     return _OWNER_SAFE.sub("-", owner) or "writer"
@@ -132,7 +137,7 @@ class NullTelemetry:
     def sampler_batch(self, count: int, workers: int) -> None:
         return None
 
-    def flush(self) -> None:
+    def flush(self, throttle_metrics: bool = False) -> None:
         return None
 
 
@@ -199,6 +204,7 @@ class Telemetry:
         self._write_lock = threading.Lock()
         self._local = threading.local()
         self._pid = os.getpid()
+        self._name_files()
         self._handle = None
         self._next_span_id = 0
         self._broken = False
@@ -351,10 +357,10 @@ class Telemetry:
         with self._write_lock:
             if os.getpid() == self._pid:
                 return
-            # The inherited handle's buffer is always empty (lines are
-            # written whole and flushed); abandoning it is safe, closing
-            # it would close the fd shared with the parent's stream.
+            # The inherited handle is unbuffered (each line is one write),
+            # so abandoning it loses nothing of the parent's stream.
             self._pid = os.getpid()
+            self._name_files()
             self._handle = None
             self._broken = False
             self._metrics_written_at = 0.0
@@ -364,11 +370,15 @@ class Telemetry:
             self.metrics = MetricsRegistry()
             self._local = threading.local()
 
-    def _span_path(self) -> Path:
-        return self.directory / f"spans-{self.owner}-{self._pid}.jsonl"
+    def _name_files(self) -> None:
+        """Name this process's span and metrics files once per pid.
 
-    def _metrics_path(self) -> Path:
-        return self.directory / f"metrics-{self.owner}-{self._pid}.json"
+        Plain strings, built here rather than per write: the checkpoint
+        path runs once per chunk group and should cost its syscalls only.
+        """
+        directory = os.fspath(self.directory)
+        self._span_file = os.path.join(directory, f"spans-{self.owner}-{self._pid}.jsonl")
+        self._metrics_file = os.path.join(directory, f"metrics-{self.owner}-{self._pid}.json")
 
     def _emit(self, record: dict, durable: bool) -> None:
         if self._broken:
@@ -376,25 +386,26 @@ class Telemetry:
         try:
             # JSON-native records take the C encoder; ``default=str`` would
             # force the pure-Python fallback on every line.
-            line = json.dumps(record, sort_keys=True) + "\n"
+            line = _encode_sorted(record) + "\n"
         except TypeError:
             line = json.dumps(record, sort_keys=True, default=str) + "\n"
+        # ASCII by construction (``ensure_ascii``); one unbuffered write
+        # puts the whole line in the OS at once.
+        data = line.encode("ascii")
         try:
             with self._write_lock:
                 if self._handle is None:
                     self.directory.mkdir(parents=True, exist_ok=True)
-                    path = self._span_path()
-                    self._handle = open(path, "a", encoding="utf-8")
+                    self._handle = open(self._span_file, "ab", buffering=0)
                     try:
-                        self._span_bytes = path.stat().st_size
+                        self._span_bytes = os.stat(self._span_file).st_size
                     except OSError:
                         self._span_bytes = 0
-                self._handle.write(line)
-                self._handle.flush()
+                self._handle.write(data)
                 if durable:
                     os.fsync(self._handle.fileno())
                 self._dirty = True
-                self._span_bytes += len(line.encode("utf-8", "surrogateescape"))
+                self._span_bytes += len(data)
                 if self.rotate_bytes > 0 and self._span_bytes >= self.rotate_bytes:
                     self._rotate_spans()
         except OSError as error:
@@ -413,35 +424,38 @@ class Telemetry:
         self._span_bytes = 0
         if handle is not None:
             handle.close()
-        path = self._span_path()
         while True:
             self._rotations += 1
-            target = path.with_name(
-                f"spans-{self.owner}-{self._pid}.{self._rotations}.jsonl"
-            )
+            target = self.directory / f"spans-{self.owner}-{self._pid}.{self._rotations}.jsonl"
             if not target.exists():
                 break
-        os.replace(path, target)
+        os.replace(self._span_file, target)
         self.metrics.counter_add("telemetry.rotated_files", 1)
 
     #: Minimum seconds between throttled metric-snapshot rewrites.
     METRICS_INTERVAL = 1.0
 
-    def _maybe_write_metrics(self) -> None:
-        """Snapshot the metrics, at most once per :data:`METRICS_INTERVAL`.
+    def _metrics_due(self) -> bool:
+        """Whether a throttled snapshot may be written now (verbose: always)."""
+        return self.verbose or time.monotonic() - self._metrics_written_at >= self.METRICS_INTERVAL
 
-        Verbose mode snapshots at every top-level boundary regardless.
-        """
-        now = time.monotonic()
-        if self.verbose or now - self._metrics_written_at >= self.METRICS_INTERVAL:
+    def _maybe_write_metrics(self) -> None:
+        """Snapshot the metrics, at most once per :data:`METRICS_INTERVAL`."""
+        if self._metrics_due():
             self._write_metrics(fsync=self.verbose)
 
     def _write_metrics(self, fsync: bool) -> None:
         if self._broken:
             return
+        snapshot = self.metrics.snapshot(self.owner)
         try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-            write_snapshot(self._metrics_path(), self.metrics.snapshot(self.owner), fsync=fsync)
+            try:
+                write_snapshot(self._metrics_file, snapshot, fsync=fsync)
+            except FileNotFoundError:
+                # First snapshot before any span line, or the sidecar was
+                # removed under a live writer: create it and retry once.
+                self.directory.mkdir(parents=True, exist_ok=True)
+                write_snapshot(self._metrics_file, snapshot, fsync=fsync)
             self._metrics_written_at = time.monotonic()
         except OSError as error:
             self._give_up(error)
@@ -455,7 +469,7 @@ class Telemetry:
             "telemetry disabled after write failure", directory=str(self.directory), error=error
         )
 
-    def flush(self) -> None:
+    def flush(self, throttle_metrics: bool = False) -> None:
         """Checkpoint: fsync the span file, snapshot the metrics.
 
         A no-op when nothing was recorded since the last flush, so the
@@ -463,6 +477,12 @@ class Telemetry:
         ``activate`` exit) cost one set of syscalls, not three.  The
         snapshot itself is atomic (``tmp`` + ``rename``) in every mode;
         only verbose pays the extra fsync on it.
+
+        ``throttle_metrics`` (the campaign loop's per-chunk-group
+        checkpoints) always fsyncs the spans but rewrites the snapshot at
+        most once per :data:`METRICS_INTERVAL`, like a top-level span
+        close; a skipped snapshot stays owed, so the next unthrottled
+        flush (campaign end, ``activate`` exit, :meth:`close`) writes it.
         """
         if not self.enabled or not self._dirty:
             return
@@ -472,10 +492,11 @@ class Telemetry:
         try:
             with self._write_lock:
                 if self._handle is not None:
-                    self._handle.flush()
                     os.fsync(self._handle.fileno())
         except OSError as error:
             self._give_up(error)
+            return
+        if throttle_metrics and not self._metrics_due():
             return
         self._write_metrics(fsync=self.verbose)
         self._dirty = False

@@ -426,7 +426,9 @@ def run_campaign(
                             state.append_chunk(index, chunks[index][0], chunks[index][1], rows)
                         telemetry.counter("campaign.chunks_completed")
                         telemetry.counter("campaign.rows_appended", len(rows))
-                    telemetry.flush()
+                    # Spans fsynced per chunk group; the metrics snapshot
+                    # is refreshed at most once a second until the end.
+                    telemetry.flush(throttle_metrics=True)
                     if progress is not None:
                         progress(len(state.completed_chunks), len(chunks))
             finally:

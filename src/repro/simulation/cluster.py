@@ -156,16 +156,17 @@ class ClusterSimulation:
     one_port:
         Enforce the one-port model (default) or the two-port model.
     engine:
-        ``"auto"`` (default) replays one-port executions analytically
-        through :func:`~repro.simulation.fast_cluster.run_fast_timeline`
-        (static timeline, batched noise draws), an order of magnitude
-        faster than the discrete-event engine, and runs two-port executions
-        on the engine: the campaigns' lockstep merge-ordered replay
-        (:func:`~repro.simulation.fast_twoport.run_twoport_assignment`)
-        only pays off over batches of many runs, and a batch of one is
-        slower than the engine.  ``"event"`` forces the discrete-event
-        engine; ``"fast"`` forces the analytic replays.  Every engine has
-        the same event times and noise draws, bit-identical.
+        ``"auto"`` (default) and ``"fast"`` replay one-port executions
+        analytically through
+        :func:`~repro.simulation.fast_cluster.run_fast_timeline` (static
+        timeline, batched noise draws), an order of magnitude faster than
+        the discrete-event engine, and run two-port executions on the
+        engine: the campaigns' lockstep merge-ordered replay
+        (:func:`~repro.simulation.fast_twoport.run_fast_twoport`) only
+        pays off over batches of many runs, and a batch of one is slower
+        than the engine.  ``"event"`` forces the discrete-event engine.
+        Every engine has the same event times and noise draws,
+        bit-identical.
     """
 
     def __init__(
@@ -222,14 +223,6 @@ class ClusterSimulation:
                 self.platform, loads, sigma1, sigma2, self.noise,
                 collect_trace=self.collect_trace,
             )
-        if self.engine == "fast":
-            from repro.simulation.fast_twoport import run_twoport_assignment
-
-            return run_twoport_assignment(
-                self.platform, loads, sigma1, sigma2, self.noise,
-                collect_trace=self.collect_trace,
-            )
-
         simulator = Simulator()
         ports = MasterPorts(simulator, one_port=self.one_port)
         trace = Trace()

@@ -25,23 +25,26 @@ models draw one ``perturb`` call at a time inside the same loop, one run of
 each stream per pass, so every stream is consumed as the serial path
 consumes it.
 
-Makespans, per-worker records and trace bars are bit-identical to the event
-engine, ties included (asserted by the test-suite under every noise
-model).  :func:`run_twoport_assignment` is the batch of one behind
-:class:`~repro.simulation.cluster.ClusterSimulation`.
+The event times — hence makespans, per-worker records and trace bars
+through :func:`~repro.simulation.cluster.replayed_run` — are bit-identical
+to the event engine, ties included (asserted by the test-suite under every
+noise model).  A lone run is faster on the engine itself, so
+:class:`~repro.simulation.cluster.ClusterSimulation` runs single two-port
+runs there; the campaigns batch whole chunks through
+:func:`run_fast_twoport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.core.platform import StarPlatform, Worker
 from repro.simulation.noise import KIND_CODES, NoiseModel, apply_key
 
-__all__ = ["PreparedTwoPortRun", "TwoPortTimes", "run_fast_twoport", "run_twoport_assignment"]
+__all__ = ["PreparedTwoPortRun", "TwoPortTimes", "run_fast_twoport"]
 
 _SEND, _COMPUTE, _RETURN = KIND_CODES["send"], KIND_CODES["compute"], KIND_CODES["return"]
 _KIND_NAMES = sorted(KIND_CODES, key=KIND_CODES.get)
@@ -272,35 +275,3 @@ def _return_first(run: PreparedTwoPortRun, durations: np.ndarray) -> bool:
     except _Stop as stop:
         return stop.args == ("return",)
     raise AssertionError("the run has no draw left")  # pragma: no cover - live rows draw
-
-
-def run_twoport_assignment(
-    platform: StarPlatform,
-    loads: Mapping[str, float],
-    sigma1: Sequence[str],
-    sigma2: Sequence[str],
-    noise: NoiseModel,
-    collect_trace: bool = True,
-):
-    """Replay one two-port execution and return a ``ClusterRun``.
-
-    ``sigma1``/``sigma2`` must already be restricted to workers with a
-    strictly positive load (as :meth:`ClusterSimulation.run_assignment`
-    guarantees before dispatching here).
-    """
-    from repro.simulation.cluster import replayed_run
-
-    if not sigma1:
-        return replayed_run(loads, (), (), {}, {}, {}, {}, one_port=False)
-    floats = np.array([float(loads[name]) for name in sigma1])
-    costs = np.array([[platform[name].c, platform[name].w, platform[name].d] for name in sigma1])
-    position = {name: index for index, name in enumerate(sigma1)}
-    collect = np.array([position[name] for name in sigma2], dtype=np.intp)
-    run = PreparedTwoPortRun(tuple(sigma1), floats * costs.T, collect)
-    times = run_fast_twoport([(noise, (run,))])
-    send_end, compute_end = (dict(zip(sigma1, row[0].tolist())) for row in times[:2])
-    return_start, return_end = (dict(zip(sigma2, row[0].tolist())) for row in times[2:4])
-    return replayed_run(
-        loads, sigma1, sigma2, send_end, compute_end, return_start, return_end,
-        one_port=False, collect_trace=collect_trace,
-    )

@@ -18,12 +18,8 @@ from hypothesis import strategies as st
 from conftest import platforms
 from repro.core.platform import StarPlatform, Worker
 from repro.experiments.common import default_noise
-from repro.simulation.cluster import ClusterSimulation
-from repro.simulation.fast_twoport import (
-    PreparedTwoPortRun,
-    run_fast_twoport,
-    run_twoport_assignment,
-)
+from repro.simulation.cluster import ClusterSimulation, replayed_run
+from repro.simulation.fast_twoport import PreparedTwoPortRun, run_fast_twoport
 from repro.simulation.noise import (
     AffineOverhead,
     ComposedNoise,
@@ -37,6 +33,26 @@ _SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+
+
+def _replay_one(platform, loads, sigma1, sigma2, noise, collect_trace=True):
+    """One two-port run through the lockstep replay, as a ``ClusterRun``.
+
+    ``sigma1``/``sigma2`` hold the workers with a positive load only.
+    """
+    if not sigma1:
+        return replayed_run(loads, (), (), {}, {}, {}, {}, one_port=False)
+    floats = np.array([float(loads[name]) for name in sigma1])
+    costs = np.array([[platform[name].c, platform[name].w, platform[name].d] for name in sigma1])
+    collect = np.array([list(sigma1).index(name) for name in sigma2], dtype=np.intp)
+    run = PreparedTwoPortRun(tuple(sigma1), floats * costs.T, collect)
+    times = run_fast_twoport([(noise, (run,))])
+    send_end, compute_end = (dict(zip(sigma1, row[0].tolist())) for row in times[:2])
+    return_start, return_end = (dict(zip(sigma2, row[0].tolist())) for row in times[2:4])
+    return replayed_run(
+        loads, sigma1, sigma2, send_end, compute_end, return_start, return_end,
+        one_port=False, collect_trace=collect_trace,
+    )
 
 
 def _assert_same_run(fast, event):
@@ -79,44 +95,47 @@ class TestTwoPortReplay:
         sigma1 = list(rng.permutation(platform.worker_names))
         sigma2 = list(rng.permutation(platform.worker_names))
 
-        fast = ClusterSimulation(
-            platform, noise=noise(), one_port=False, engine="fast"
-        ).run_assignment(loads, sigma1, sigma2)
+        fast = _replay_one(
+            platform,
+            loads,
+            [name for name in sigma1 if loads[name] > 0],
+            [name for name in sigma2 if loads[name] > 0],
+            noise(),
+        )
         event = ClusterSimulation(
             platform, noise=noise(), one_port=False, engine="event"
         ).run_assignment(loads, sigma1, sigma2)
         _assert_same_run(fast, event)
 
     def test_auto_engine_runs_lone_runs_on_event_engine(self, three_workers, monkeypatch):
-        """A batch of one is slower than the engine, so "auto" skips the
-        lockstep replay for a single two-port run; "fast" keeps it."""
+        """A batch of one is slower than the engine, so a single two-port
+        run never takes the lockstep replay, whichever engine is asked."""
         from repro.simulation import fast_twoport
 
         loads = {name: 1.0 for name in three_workers.worker_names}
         names = three_workers.worker_names
-        fast = ClusterSimulation(three_workers, one_port=False, engine="fast").run_assignment(
-            loads, names, names
-        )
+        replayed = _replay_one(three_workers, loads, names, names, default_noise(5))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("lockstep replay used")
 
-        monkeypatch.setattr(fast_twoport, "run_twoport_assignment", forbidden)
-        auto = ClusterSimulation(three_workers, one_port=False).run_assignment(
-            loads, names, names
-        )
-        _assert_same_run(fast, auto)
+        monkeypatch.setattr(fast_twoport, "run_fast_twoport", forbidden)
+        for engine in ("auto", "fast"):
+            run = ClusterSimulation(
+                three_workers, noise=default_noise(5), one_port=False, engine=engine
+            ).run_assignment(loads, names, names)
+            _assert_same_run(replayed, run)
 
     def test_empty_assignment(self, three_workers):
-        run = run_twoport_assignment(three_workers, {}, [], [], NoJitter())
+        run = _replay_one(three_workers, {}, [], [], NoJitter())
         assert run.makespan == 0.0
         assert run.records == {}
 
     def test_collect_trace_false_skips_gantt_only(self, three_workers):
         loads = {name: 1.0 for name in three_workers.worker_names}
         names = three_workers.worker_names
-        with_trace = run_twoport_assignment(three_workers, loads, names, names, NoJitter())
-        without = run_twoport_assignment(
+        with_trace = _replay_one(three_workers, loads, names, names, NoJitter())
+        without = _replay_one(
             three_workers, loads, names, names, NoJitter(), collect_trace=False
         )
         assert without.makespan == with_trace.makespan
@@ -140,9 +159,7 @@ class TestTwoPortReplay:
             name="interleaved",
         )
         loads = {"fast": 1.0, "slow": 1.0}
-        run = run_twoport_assignment(
-            platform, loads, ["fast", "slow"], ["fast", "slow"], NoJitter()
-        )
+        run = _replay_one(platform, loads, ["fast", "slow"], ["fast", "slow"], NoJitter())
         assert run.records["fast"].return_end < run.records["slow"].send_end
         event = ClusterSimulation(
             platform, one_port=False, engine="event"

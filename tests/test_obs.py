@@ -103,6 +103,34 @@ class TestSpanSidecar:
             pass
         assert not telemetry.enabled
 
+    def test_throttled_checkpoint_fsyncs_spans_and_owes_the_snapshot(self, tmp_path, monkeypatch):
+        """A throttled flush still fsyncs; the next plain flush writes the snapshot."""
+        telemetry = Telemetry(tmp_path / "telemetry", owner="t0", mode="on")
+        telemetry.METRICS_INTERVAL = 3600.0
+        synced = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(os, "fsync", lambda fd: synced.append(fd) or real_fsync(fd))
+
+        def counted():
+            snapshot = read_metric_snapshots(tmp_path / "telemetry")[0]
+            return snapshot["counters"]["work.items"]
+
+        telemetry.counter("work.items")
+        telemetry.flush(throttle_metrics=True)  # the first snapshot is always due
+        assert counted() == 1.0
+        telemetry.counter("work.items")
+        with telemetry.span("work"):
+            pass
+        telemetry.flush(throttle_metrics=True)
+        assert len(synced) == 1  # the span line is durable ...
+        assert counted() == 1.0  # ... the snapshot is not yet due
+        telemetry.flush()
+        assert len(synced) == 2 and counted() == 2.0
+        telemetry.flush()  # nothing owed any more: a no-op
+        assert len(synced) == 2
+        spans, _ = read_spans(tmp_path / "telemetry")
+        assert [record["name"] for record in spans] == ["work"]
+
     def test_read_jsonl_tolerant_never_raises(self, tmp_path):
         records, dropped = read_jsonl_tolerant(tmp_path / "absent.jsonl")
         assert records == [] and dropped == 0

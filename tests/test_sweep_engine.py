@@ -179,24 +179,52 @@ class TestPerturbSequence:
         assert vectorised.tolist() == scalar
 
 
+class _WorkerKeyedNoise:
+    """A perturb-only model whose factor depends on the worker and kind.
+
+    It cannot pre-draw, so a replay must hand it each operation's worker
+    name; a wrong sender mapping changes the makespans.
+    """
+
+    stateless = True
+
+    def perturb(self, duration, kind, worker):
+        return duration * (1.0 + 0.01 * int(worker[1:]) + 0.003 * len(kind))
+
+
 class TestCampaignEngineAgainstReferencePath:
     """The array-level campaign evaluation equals the public reference path."""
 
-    def test_prepared_cell_measure_matches_reference(self):
+    @pytest.mark.parametrize(
+        "make_noise",
+        [
+            lambda: default_noise(77),
+            lambda: ComposedNoise(
+                UniformJitter(amplitude=0.05, seed=1), GaussianJitter(sigma=0.05, seed=2)
+            ),
+            _WorkerKeyedNoise,
+        ],
+        ids=["predraw", "composed-perturb", "worker-keyed"],
+    )
+    def test_prepared_cell_measure_matches_reference(self, make_noise):
         """The scalar cell replay equals measure_heuristic per heuristic."""
         from repro.experiments.campaign_engine import prepare_cells
         from repro.workloads.sampling import base_costs, cost_table
 
-        heuristic_names = ("INC_C", "LIFO")
+        heuristic_names = ("INC_C", "INC_W", "LIFO")
         total_tasks = 250
         factors = campaign_factors("hetero-star", 1, size=5, seed=4)[0]
         c, w, d = cost_table(base_costs(100), np.array(factors.comm), np.array(factors.comp))
         cells = prepare_cells(heuristic_names, "INC_C", total_tasks, [("cell", c, w, d)])
-        measured = cells["cell"].measure(default_noise(77))
+        cell = cells["cell"]
+        noise = make_noise()
+        if not getattr(noise, "predraws", False):
+            assert len(cell.workers(noise)) == len(cell.durations)
+        measured = cell.measure(noise)
 
         platform = factors.platform(MatrixProductWorkload(100))
         evaluations = compare_heuristics(platform, heuristic_names)
-        noise = default_noise(77)
+        noise = make_noise()
         for name, makespan in zip(heuristic_names, measured):
             report = measure_heuristic(
                 evaluations[name], total_tasks, noise=noise, collect_trace=False
