@@ -195,19 +195,9 @@ class _WorkerKeyedNoise:
 class TestCampaignEngineAgainstReferencePath:
     """The array-level campaign evaluation equals the public reference path."""
 
-    @pytest.mark.parametrize(
-        "make_noise",
-        [
-            lambda: default_noise(77),
-            lambda: ComposedNoise(
-                UniformJitter(amplitude=0.05, seed=1), GaussianJitter(sigma=0.05, seed=2)
-            ),
-            _WorkerKeyedNoise,
-        ],
-        ids=["predraw", "composed-perturb", "worker-keyed"],
-    )
-    def test_prepared_cell_measure_matches_reference(self, make_noise):
-        """The scalar cell replay equals measure_heuristic per heuristic."""
+    def test_prepared_cell_measure_matches_reference(self):
+        """The scalar cell replay equals measure_heuristic per heuristic,
+        for a pre-drawing model and for two that need each worker name."""
         from repro.experiments.campaign_engine import prepare_cells
         from repro.workloads.sampling import base_costs, cost_table
 
@@ -217,19 +207,27 @@ class TestCampaignEngineAgainstReferencePath:
         c, w, d = cost_table(base_costs(100), np.array(factors.comm), np.array(factors.comp))
         cells = prepare_cells(heuristic_names, "INC_C", total_tasks, [("cell", c, w, d)])
         cell = cells["cell"]
-        noise = make_noise()
-        if not getattr(noise, "predraws", False):
-            assert len(cell.workers(noise)) == len(cell.durations)
-        measured = cell.measure(noise)
-
         platform = factors.platform(MatrixProductWorkload(100))
         evaluations = compare_heuristics(platform, heuristic_names)
-        noise = make_noise()
-        for name, makespan in zip(heuristic_names, measured):
-            report = measure_heuristic(
-                evaluations[name], total_tasks, noise=noise, collect_trace=False
-            )
-            assert makespan == report.measured_makespan
+
+        noise_models = {
+            "predraw": lambda: default_noise(77),
+            "composed-perturb": lambda: ComposedNoise(
+                UniformJitter(amplitude=0.05, seed=1), GaussianJitter(sigma=0.05, seed=2)
+            ),
+            "worker-keyed": _WorkerKeyedNoise,
+        }
+        for label, make_noise in noise_models.items():
+            noise = make_noise()
+            if not getattr(noise, "predraws", False):
+                assert len(cell.workers(noise)) == len(cell.durations)
+            measured = cell.measure(noise)
+            noise = make_noise()
+            for name, makespan in zip(heuristic_names, measured):
+                report = measure_heuristic(
+                    evaluations[name], total_tasks, noise=noise, collect_trace=False
+                )
+                assert makespan == report.measured_makespan, (label, name)
 
     def test_chunk_ratios_match_scalar_reference(self):
         from repro.experiments.campaign_engine import noise_seed
