@@ -13,7 +13,7 @@ for every campaign, the paper's Figures 10-13 included:
   LIFO rows alike — into one matrix per worker count and rounds it with
   one row-wise :func:`~repro.core.rounding.round_values` call, and — for
   measured one-port campaigns only — lays the whole matrix out for replay
-  with one row-wise :func:`~repro.simulation.executor.
+  with one row-wise :func:`~repro.simulation.fast_cluster.
   prepare_measurement_arrays` call; cells reference rows of those
   chunk-wide arrays, no platform, schedule or per-pair objects;
 * the heuristic order rules and the closed-form LIFO chain come from
@@ -21,8 +21,10 @@ for every campaign, the paper's Figures 10-13 included:
   :mod:`repro.workloads.sampling`;
 * :func:`replay_grouped` replays the one-port measurements vectorised
   across a whole chunk, gathering each participant count's runs with one
-  fancy index; :func:`replay_two_port` replays the chunk's two-port runs
-  in one lockstep merge of their event streams;
+  fancy index into :func:`~repro.simulation.fast_cluster.replay_timelines`,
+  the replay every one-port simulation runs; :func:`replay_two_port`
+  replays the chunk's two-port runs in one lockstep merge of their event
+  streams;
 * :func:`noise_seed` is the one per-(platform, size) noise-seed formula.
 
 Everything is pinned bit-for-bit by the test-suite against the public
@@ -50,7 +52,7 @@ from repro.core.order_rules import (
 )
 from repro.core.rounding import round_values
 from repro.exceptions import ScheduleError
-from repro.simulation.executor import (
+from repro.simulation.fast_cluster import (
     kind_pattern,
     operation_workers,
     prepare_measurement_arrays,
@@ -142,7 +144,8 @@ def replay_grouped(
     The occurrences' perturbed streams are concatenated once, and each
     participant count's runs are gathered with one fancy index and
     replayed row-parallel by
-    :func:`~repro.simulation.executor.replay_timelines`.
+    :func:`~repro.simulation.fast_cluster.replay_timelines`, whose last
+    return end is each run's makespan.
     """
     perturbed = np.concatenate([payload for _, _, _, payload in occurrences])
     sigma2 = np.concatenate([cell.sigma2_positions for _, _, cell, _ in occurrences])
@@ -159,9 +162,10 @@ def replay_grouped(
     for q in np.unique(participants).tolist():
         members = np.flatnonzero(lengths == 3 * q)
         first = starts[members, None]
-        flat[members] = replay_timelines(
+        _, _, _, return_end = replay_timelines(
             perturbed[first + np.arange(3 * q)], sigma2[first // 3 + np.arange(q)]
         )
+        flat[members] = return_end[:, -1]
     return makespans
 
 
@@ -298,7 +302,7 @@ def _round_pairs(pair_loads: list, total: int):
 
     Rows are stacked per worker count and each stack is rounded with one
     :func:`~repro.core.rounding.round_values` call — the one rounding of
-    each pair, mirroring ``measure_heuristic``'s ``round_loads``.  Returns
+    each pair, mirroring ``measure_heuristic``'s one-row call.  Returns
     each pair's throughput (the Python ``sum`` of its row: the unit
     deadline makes the total load the throughput), its participant count,
     and per worker count the pair indices with their ``(rows, q)`` counts.
@@ -438,7 +442,7 @@ def prepare_cells(
 def _chunk_layout(tables, heuristic_names, pair_orders, participants, rounded):
     """Replay layouts of every (cell, heuristic) pair, as chunk-wide arrays.
 
-    One :func:`~repro.simulation.executor.prepare_measurement_arrays` call
+    One :func:`~repro.simulation.fast_cluster.prepare_measurement_arrays` call
     per worker count lays out all its pairs at once (FIFO pairs collect in
     ``sigma1`` order, LIFO ones in reverse); the groups are then scattered
     into flat arrays in pair order.  Pair ``k``'s ``p`` participants take
@@ -505,7 +509,7 @@ def _prepare_two_port_cells(
     loads_rows = _solve_stacked_orders(
         tables, orders, reversed_returns=reversed_returns, one_port=False
     )
-    # Rounding mirrors measure_heuristic's round_loads: integer counts
+    # Rounding mirrors measure_heuristic's round_values: integer counts
     # summing to the total, zero-load workers dropped from both sigmas
     # (reversal and filtering commute).
     throughputs, participants, rounded = _round_pairs(loads_rows, total_tasks)

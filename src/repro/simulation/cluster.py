@@ -156,16 +156,15 @@ class ClusterSimulation:
     one_port:
         Enforce the one-port model (default) or the two-port model.
     engine:
-        ``"auto"`` (default) and ``"fast"`` replay one-port executions
-        analytically through
-        :func:`~repro.simulation.fast_cluster.run_fast_timeline` (static
-        timeline, batched noise draws), an order of magnitude faster than
-        the discrete-event engine, and run two-port executions on the
-        engine: the campaigns' lockstep merge-ordered replay
-        (:func:`~repro.simulation.fast_twoport.run_fast_twoport`) only
-        pays off over batches of many runs, and a batch of one is slower
-        than the engine.  ``"event"`` forces the discrete-event engine.
-        Every engine has the same event times and noise draws,
+        ``"auto"`` (default) replays one-port executions analytically
+        through :func:`~repro.simulation.fast_cluster.run_fast_timeline`
+        (static timeline, batched noise draws), an order of magnitude
+        faster than the discrete-event engine, and runs two-port
+        executions on the engine: the campaigns' lockstep merge-ordered
+        replay (:func:`~repro.simulation.fast_twoport.run_fast_twoport`)
+        only pays off over batches of many runs, and a batch of one is
+        slower than the engine.  ``"event"`` forces the discrete-event
+        engine.  Both have the same event times and noise draws,
         bit-identical.
     """
 
@@ -177,7 +176,7 @@ class ClusterSimulation:
         engine: str = "auto",
         collect_trace: bool = True,
     ) -> None:
-        if engine not in ("auto", "fast", "event"):
+        if engine not in ("auto", "event"):
             raise SimulationError(f"unknown simulation engine {engine!r}")
         self.platform = platform
         self.noise = noise if noise is not None else NoJitter()

@@ -28,7 +28,8 @@ from repro.core.fast_scenario import (
 )
 from repro.core.fifo import optimal_fifo_order
 from repro.core.linear_program import build_scenario_program, solve_scenario
-from repro.exceptions import ScheduleError, SolverError
+from repro.core.platform import StarPlatform, Worker
+from repro.exceptions import ScheduleError, SimulationError, SolverError
 from repro.simulation.cluster import ClusterSimulation
 from repro.simulation.noise import GaussianJitter, NoJitter, UniformJitter
 
@@ -178,6 +179,17 @@ class TestSolveScenarioDispatch:
         assert program.is_feasible(values, tol=1e-7)
 
 
+class _DrawRecorder:
+    """A perturb-only model recording each draw's ``(kind, worker)``."""
+
+    def __init__(self):
+        self.draws = []
+
+    def perturb(self, duration, kind, worker):
+        self.draws.append((kind, worker))
+        return duration * (1.0 + 0.01 * len(self.draws))
+
+
 class TestFastTimelineReplay:
     @_SETTINGS
     @given(
@@ -200,7 +212,7 @@ class TestFastTimelineReplay:
         sigma1 = list(rng.permutation(platform.worker_names))
         sigma2 = list(rng.permutation(platform.worker_names))
 
-        fast = ClusterSimulation(platform, noise=noise(), engine="fast").run_assignment(
+        fast = ClusterSimulation(platform, noise=noise(), engine="auto").run_assignment(
             loads, sigma1, sigma2
         )
         event = ClusterSimulation(platform, noise=noise(), engine="event").run_assignment(
@@ -216,6 +228,27 @@ class TestFastTimelineReplay:
             return (e.resource, e.kind, e.start, e.end, e.load, e.note)
 
         assert sorted(map(key, fast.trace)) == sorted(map(key, event.trace))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_draw_order_matches_event_engine(self, seed):
+        """Each draw's (kind, worker) comes in the event engine's order,
+        so perturb-only models that read the worker see the same calls."""
+        rng = np.random.default_rng(seed)
+        platform = StarPlatform(
+            [Worker(f"P{i}", *rng.uniform(0.5, 4.0, 3)) for i in range(5)]
+        )
+        loads = {name: float(rng.integers(0, 4)) for name in platform.worker_names}
+        loads["P0"] = 1.0
+        sigma1 = list(rng.permutation(platform.worker_names))
+        sigma2 = list(rng.permutation(platform.worker_names))
+        runs = {}
+        for engine in ("auto", "event"):
+            recorder = _DrawRecorder()
+            run = ClusterSimulation(platform, noise=recorder, engine=engine).run_assignment(
+                loads, sigma1, sigma2
+            )
+            runs[engine] = (run.makespan, recorder.draws)
+        assert runs["auto"] == runs["event"]
 
     def test_two_port_auto_matches_event_engine(self, three_workers):
         simulation = ClusterSimulation(three_workers, one_port=False, engine="auto")
@@ -233,12 +266,16 @@ class TestFastTimelineReplay:
     def test_collect_trace_false_skips_gantt_only(self, three_workers):
         loads = {name: 1.0 for name in three_workers.worker_names}
         names = three_workers.worker_names
-        with_trace = ClusterSimulation(three_workers, engine="fast").run_assignment(
+        with_trace = ClusterSimulation(three_workers, engine="auto").run_assignment(
             loads, names, names
         )
         without = ClusterSimulation(
-            three_workers, engine="fast", collect_trace=False
+            three_workers, engine="auto", collect_trace=False
         ).run_assignment(loads, names, names)
         assert without.makespan == with_trace.makespan
         assert len(list(without.trace)) == 0
         assert len(list(with_trace.trace)) > 0
+
+    def test_fast_engine_value_is_gone(self, three_workers):
+        with pytest.raises(SimulationError, match="unknown simulation engine"):
+            ClusterSimulation(three_workers, engine="fast")

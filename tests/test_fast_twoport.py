@@ -109,7 +109,7 @@ class TestTwoPortReplay:
 
     def test_auto_engine_runs_lone_runs_on_event_engine(self, three_workers, monkeypatch):
         """A batch of one is slower than the engine, so a single two-port
-        run never takes the lockstep replay, whichever engine is asked."""
+        run never takes the lockstep replay under the default engine."""
         from repro.simulation import fast_twoport
 
         loads = {name: 1.0 for name in three_workers.worker_names}
@@ -120,11 +120,10 @@ class TestTwoPortReplay:
             raise AssertionError("lockstep replay used")
 
         monkeypatch.setattr(fast_twoport, "run_fast_twoport", forbidden)
-        for engine in ("auto", "fast"):
-            run = ClusterSimulation(
-                three_workers, noise=default_noise(5), one_port=False, engine=engine
-            ).run_assignment(loads, names, names)
-            _assert_same_run(replayed, run)
+        run = ClusterSimulation(
+            three_workers, noise=default_noise(5), one_port=False, engine="auto"
+        ).run_assignment(loads, names, names)
+        _assert_same_run(replayed, run)
 
     def test_empty_assignment(self, three_workers):
         run = _replay_one(three_workers, {}, [], [], NoJitter())

@@ -19,12 +19,20 @@ import pytest
 
 from repro.cli import main
 from repro.core.heuristics import compare_heuristics
+from repro.core.rounding import round_loads
 from repro.exceptions import ExperimentError
 from repro.experiments.campaign_engine import noise_seed
 from repro.experiments.common import default_noise, overhead_noise
-from repro.scenarios.runner import aggregate_figure, evaluate_range, plan_chunks, run_campaign
+from repro.scenarios.runner import (
+    NOISE_FACTORIES,
+    aggregate_figure,
+    evaluate_range,
+    plan_chunks,
+    run_campaign,
+)
 from repro.scenarios.spec import named_space, spec_hash
 from repro.scenarios.store import CampaignState, CampaignStore, aggregate_rows
+from repro.simulation.cluster import ClusterSimulation
 from repro.simulation.executor import measure_heuristic
 from repro.workloads.matrices import MatrixProductWorkload
 
@@ -102,6 +110,43 @@ class TestCampaignParity:
                     )
                 assert row["values"][f"{name} workers"] == len(report.participants)
             assert row["values"][f"{spec.reference} time"] == reference_time
+
+    @pytest.mark.parametrize(
+        "space, campaign_kind, scale_kwargs",
+        [
+            ("fig10", "homogeneous", {}),
+            ("fig11", "hetero-comp", {}),
+            ("fig12", "hetero-star", {}),
+            ("fig13a", "hetero-star", {"comp": 10.0}),
+            ("fig13b", "hetero-star", {"comm": 10.0}),
+        ],
+    )
+    def test_real_series_match_event_engine(self, tmp_path, space, campaign_kind, scale_kwargs):
+        """Every "<H> real" equals the discrete-event engine's makespan on
+        the same rounded loads and filtered sigmas — the one reference
+        independent of the row-wise replay, which ``measure_heuristic``
+        and the campaigns share."""
+        spec = named_space(space).derive(count=2)
+        rows = run_campaign(spec, tmp_path, chunk_size=2).rows()
+        assert len(rows) == spec.scenario_count
+        factors = reference_factors(spec, campaign_kind, scale_kwargs)
+        total = spec.total_tasks
+        for row in rows:
+            index, size = row["platform"], row["size"]
+            platform = factors[index].platform(MatrixProductWorkload(size))
+            evaluations = compare_heuristics(platform, spec.heuristics)
+            noise = NOISE_FACTORIES[spec.noise](noise_seed(spec.family.seed, index, size))
+            simulation = ClusterSimulation(platform, noise=noise, engine="event")
+            reference_time = row["values"][f"{spec.reference} time"]
+            for name in spec.heuristics:
+                schedule = evaluations[name].schedule
+                loads = round_loads(schedule.loads, schedule.sigma1, total)
+                run = simulation.run_assignment(
+                    {worker: float(load) for worker, load in loads.items()},
+                    schedule.sigma1,
+                    schedule.sigma2,
+                )
+                assert row["values"][f"{name} real"] == run.makespan / reference_time
 
     def test_jobs_do_not_change_rows(self, tmp_path):
         spec = small_spec()

@@ -2,16 +2,15 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ExperimentError
 from repro.experiments.common import default_noise
 from repro.experiments.sweep_engine import _sweep_chunks, resolve_jobs, run_sweep
-from repro.simulation.executor import (
-    measure_heuristic,
-    prepare_measurement,
-)
+from repro.simulation.executor import measure_heuristic
 from repro.core.heuristics import compare_heuristics
 from repro.simulation.noise import (
     AffineOverhead,
@@ -78,32 +77,6 @@ class TestRunChunked:
 
         with pytest.raises(ExperimentError):
             _sweep_chunks(broken, [1, 2, 3])
-
-
-class TestPreparedMeasurement:
-    """The campaign fast path must match measure_heuristic bit for bit."""
-
-    @pytest.mark.parametrize("seed", (0, 1, 2))
-    @pytest.mark.parametrize("heuristic", ("INC_C", "INC_W", "LIFO"))
-    def test_measure_matches_measure_heuristic(self, seed, heuristic):
-        factors = campaign_factors("hetero-star", 1, size=7, seed=seed)[0]
-        platform = factors.platform(MatrixProductWorkload(100 + 20 * seed))
-        evaluation = compare_heuristics(platform, (heuristic,))[heuristic]
-        prepared = prepare_measurement(evaluation, 1000)
-        for noise_seed in range(3):
-            fast = prepared.measure(default_noise(noise_seed))
-            reference = measure_heuristic(
-                evaluation, 1000, noise=default_noise(noise_seed), collect_trace=False
-            )
-            assert fast == reference.measured_makespan
-
-    def test_noise_free_measurement(self):
-        factors = campaign_factors("hetero-star", 1, size=5, seed=9)[0]
-        platform = factors.platform(MatrixProductWorkload(80))
-        evaluation = compare_heuristics(platform, ("INC_C",))["INC_C"]
-        prepared = prepare_measurement(evaluation, 500)
-        reference = measure_heuristic(evaluation, 500, noise=None, collect_trace=False)
-        assert prepared.measure(None) == reference.measured_makespan
 
 
 class TestPerturbSequence:
@@ -196,20 +169,14 @@ class TestCampaignEngineAgainstReferencePath:
     """The array-level campaign evaluation equals the public reference path."""
 
     def test_prepared_cell_measure_matches_reference(self):
-        """The scalar cell replay equals measure_heuristic per heuristic,
-        for a pre-drawing model and for two that need each worker name."""
+        """The scalar cell replay equals measure_heuristic per heuristic:
+        on a 5-worker platform for a pre-drawing model and for two that
+        need each worker name, and on three 7-worker platforms for three
+        default-noise seeds and the noise-free model."""
         from repro.experiments.campaign_engine import prepare_cells
         from repro.workloads.sampling import base_costs, cost_table
 
         heuristic_names = ("INC_C", "INC_W", "LIFO")
-        total_tasks = 250
-        factors = campaign_factors("hetero-star", 1, size=5, seed=4)[0]
-        c, w, d = cost_table(base_costs(100), np.array(factors.comm), np.array(factors.comp))
-        cells = prepare_cells(heuristic_names, "INC_C", total_tasks, [("cell", c, w, d)])
-        cell = cells["cell"]
-        platform = factors.platform(MatrixProductWorkload(100))
-        evaluations = compare_heuristics(platform, heuristic_names)
-
         noise_models = {
             "predraw": lambda: default_noise(77),
             "composed-perturb": lambda: ComposedNoise(
@@ -217,17 +184,32 @@ class TestCampaignEngineAgainstReferencePath:
             ),
             "worker-keyed": _WorkerKeyedNoise,
         }
-        for label, make_noise in noise_models.items():
-            noise = make_noise()
-            if not getattr(noise, "predraws", False):
-                assert len(cell.workers(noise)) == len(cell.durations)
-            measured = cell.measure(noise)
-            noise = make_noise()
-            for name, makespan in zip(heuristic_names, measured):
-                report = measure_heuristic(
-                    evaluations[name], total_tasks, noise=noise, collect_trace=False
-                )
-                assert makespan == report.measured_makespan, (label, name)
+        seeded = {f"default-{seed}": partial(default_noise, seed) for seed in range(3)}
+        # (workers, platform seed, matrix size, total tasks, noise models)
+        cases = [(5, 4, 100, 250, noise_models)] + [
+            (7, seed, 100 + 20 * seed, 1000, {**seeded, "noise-free": NoJitter})
+            for seed in range(3)
+        ]
+        for workers, seed, size, total_tasks, models in cases:
+            factors = campaign_factors("hetero-star", 1, size=workers, seed=seed)[0]
+            c, w, d = cost_table(
+                base_costs(size), np.array(factors.comm), np.array(factors.comp)
+            )
+            cells = prepare_cells(heuristic_names, "INC_C", total_tasks, [("cell", c, w, d)])
+            cell = cells["cell"]
+            platform = factors.platform(MatrixProductWorkload(size))
+            evaluations = compare_heuristics(platform, heuristic_names)
+            for label, make_noise in models.items():
+                noise = make_noise()
+                if not getattr(noise, "predraws", False):
+                    assert len(cell.workers(noise)) == len(cell.durations)
+                measured = cell.measure(noise)
+                noise = make_noise()
+                for name, makespan in zip(heuristic_names, measured):
+                    report = measure_heuristic(
+                        evaluations[name], total_tasks, noise=noise, collect_trace=False
+                    )
+                    assert makespan == report.measured_makespan, (seed, label, name)
 
     def test_chunk_ratios_match_scalar_reference(self):
         from repro.experiments.campaign_engine import noise_seed
