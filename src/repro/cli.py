@@ -251,8 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             metavar="SECONDS",
-            help="give up coordinating detached workers after this long "
-            "(default: wait until the campaign completes)",
+            help="give up coordinating detached or local workers after this "
+            "long (default: wait until the campaign completes)",
         )
 
     for verb, help_text in (
@@ -833,8 +833,10 @@ def _scenarios_main(args: argparse.Namespace, parser: argparse.ArgumentParser) -
         parser.error("--max-chunks is not supported with --detached-workers")
     if args.faults is not None and args.workers is None:
         parser.error("--faults injects faults into local workers; it requires --workers")
-    if (args.skew_slack is not None or args.wait_timeout is not None) and not args.detached_workers:
-        parser.error("--skew-slack/--wait-timeout apply to --detached-workers only")
+    if args.skew_slack is not None and not args.detached_workers:
+        parser.error("--skew-slack applies to --detached-workers only")
+    if args.wait_timeout is not None and not (args.detached_workers or args.workers is not None):
+        parser.error("--wait-timeout applies to --detached-workers or --workers only")
     kwargs: dict[str, object] = {}
     if args.chunk_size is not None:
         kwargs["chunk_size"] = args.chunk_size

@@ -12,10 +12,12 @@ for every campaign, the paper's Figures 10-13 included:
   stacks every (cell, heuristic) load row — kernel rows and closed-form
   LIFO rows alike — into one matrix per worker count and rounds it with
   one row-wise :func:`~repro.core.rounding.round_values` call, and — for
-  measured one-port campaigns only — lays the whole matrix out for replay
-  with one row-wise :func:`~repro.simulation.fast_cluster.
+  measured campaigns only — lays the whole matrix out for replay with one
+  row-wise :func:`~repro.simulation.fast_cluster.
   prepare_measurement_arrays` call; cells reference rows of those
-  chunk-wide arrays, no platform, schedule or per-pair objects;
+  chunk-wide arrays, no platform, schedule or per-pair objects.  Both
+  port models take this one path: the port model picks only the order
+  rules and the kernel;
 * the heuristic order rules and the closed-form LIFO chain come from
   :mod:`repro.core.order_rules`, the cost tables from
   :mod:`repro.workloads.sampling`;
@@ -23,8 +25,8 @@ for every campaign, the paper's Figures 10-13 included:
   across a whole chunk, gathering each participant count's runs with one
   fancy index into :func:`~repro.simulation.fast_cluster.replay_timelines`,
   the replay every one-port simulation runs; :func:`replay_two_port`
-  replays the chunk's two-port runs in one lockstep merge of their event
-  streams;
+  hands the same layout to one lockstep merge of the chunk's two-port
+  event streams;
 * :func:`noise_seed` is the one per-(platform, size) noise-seed formula.
 
 Everything is pinned bit-for-bit by the test-suite against the public
@@ -58,13 +60,11 @@ from repro.simulation.fast_cluster import (
     prepare_measurement_arrays,
     replay_timelines,
 )
-from repro.simulation.fast_twoport import PreparedTwoPortRun, run_fast_twoport
+from repro.simulation.fast_twoport import run_fast_twoport
 from repro.simulation.noise import NoiseModel, perturb_sequence
 
 __all__ = [
     "PreparedCell",
-    "PreparedTwoPortRun",
-    "TwoPortCell",
     "noise_seed",
     "prepare_cells",
     "replay_grouped",
@@ -88,14 +88,16 @@ class PreparedCell:
     ``lp_ratios`` are the (noise-free) LP ratio entries and
     ``participants`` each heuristic's worker count after the paper's
     rounding.  The measurement side — absent for LP-only cells — is the
-    cell's rows of its chunk's layout: ``durations`` is the whole noise
-    stream (each heuristic's ``3p`` operations in draw order, heuristic
-    after heuristic), ``sigma2_positions`` each heuristic's return slots
-    and ``senders`` its participants' worker indices into ``names``, all
-    views of chunk-wide arrays; ``kinds`` is each entry's operation kind.
-    One batched ``perturb_sequence`` call per
-    occurrence draws the stream — in exactly the order the per-run path
-    would — and :func:`replay_grouped` replays the whole chunk.
+    cell's rows of its chunk's layout, the same for both port models:
+    ``durations`` holds each heuristic's ``3p`` operations in the one-port
+    draw order, heuristic after heuristic, ``sigma2_positions`` each
+    heuristic's return slots and ``senders`` its participants' worker
+    indices into ``names``, all views of chunk-wide arrays.  ``kinds`` is
+    each entry's operation kind on one-port cells, where that order is the
+    draw order: one batched ``perturb_sequence`` call per occurrence draws
+    the stream and :func:`replay_grouped` replays the whole chunk.
+    Two-port cells leave ``kinds`` empty — their draw order depends on the
+    realised times — and :func:`replay_two_port` draws while it replays.
     """
 
     lp_ratios: tuple[tuple[str, float], ...]
@@ -125,7 +127,8 @@ class PreparedCell:
         return tuple(workers)
 
     def measure(self, noise: NoiseModel) -> list[float]:
-        """Measured makespans of every heuristic, one batched draw.
+        """Measured makespans of every heuristic of a one-port cell, one
+        batched draw.
 
         The runner draws and replays whole chunks instead; kept for tests
         and small callers.
@@ -169,30 +172,8 @@ def replay_grouped(
     return makespans
 
 
-@dataclass(frozen=True)
-class TwoPortCell:
-    """One (factor set, size) pair prepared for two-port evaluation.
-
-    The two-port counterpart of :class:`PreparedCell`: ``lp_ratios`` come
-    from the batched two-port kernel (every heuristic is LP-backed —
-    two-port LIFO has no closed form), and ``prepared`` holds one
-    :class:`~repro.simulation.fast_twoport.PreparedTwoPortRun` per
-    heuristic (none for LP-only cells): the rounded schedule's participants
-    in send order, their noise-free durations and the collection order.
-    Replaying them from one shared noise stream, in slot order, is
-    bit-identical to ``measure_heuristic(result, total, noise=noise,
-    one_port=False).measured_makespan`` per heuristic — same rounding, same
-    filtered sigmas, same merge-ordered draws (pinned by the test-suite).
-    """
-
-    lp_ratios: tuple[tuple[str, float], ...]
-    reference_time: float
-    participants: tuple[int, ...]
-    prepared: tuple[PreparedTwoPortRun, ...] = ()
-
-
 def replay_two_port(
-    occurrences: list[tuple[int, int, TwoPortCell, NoiseModel]],
+    occurrences: list[tuple[int, int, PreparedCell, NoiseModel]],
     heuristic_count: int,
 ) -> np.ndarray:
     """Replay every (occurrence, heuristic) two-port run in one batch.
@@ -202,10 +183,16 @@ def replay_two_port(
     size) like the one-port campaigns); its heuristics draw from that one
     stream in slot order, mirroring the serial path that measures each
     heuristic in sequence.  One :func:`~repro.simulation.fast_twoport.
-    run_fast_twoport` call replays the whole chunk in lockstep: the
-    streams are drawn up front and each step merges every run's next event.
+    run_fast_twoport` call replays the whole chunk in lockstep from the
+    cells' layouts: the streams are drawn up front and each step merges
+    every run's next event.
     """
-    times = run_fast_twoport([(noise, cell.prepared) for _, _, cell, noise in occurrences])
+    times = run_fast_twoport(
+        [
+            (noise, cell.durations, cell.sigma2_positions, cell.participants, cell.workers(noise))
+            for _, _, cell, noise in occurrences
+        ]
+    )
     return times.makespans.reshape(len(occurrences), heuristic_count)
 
 
@@ -222,23 +209,19 @@ def _cost_tables(keyed_tables):
 
 
 def _solve_stacked_orders(
-    tables,
-    orders: list[list[int]],
-    reversed_returns: list[bool] | None = None,
-    one_port: bool = True,
+    tables, orders: list[list[int]], reversed_slots: np.ndarray, one_port: bool
 ) -> list[np.ndarray]:
     """Stack ordered LP scenarios by worker count and solve each group.
 
     ``orders`` holds one send order per (table, heuristic slot) pair in
     flat order — ``orders[index * slots + offset]`` is slot ``offset`` of
-    table ``index``.  ``reversed_returns`` flags the slots whose return
+    table ``index``.  ``reversed_slots`` flags the slots whose return
     order is the reverse of the send order (the two-port LIFO); groups
     that end up all-FIFO pass ``rank2=None``, exactly like the scalar
-    build.  Returns the kernel's load vector per flat index — the shared
-    stacking scaffold of both port models (one batched kernel call per
-    worker count either way).
+    build.  Returns the kernel's load vector per flat index (one batched
+    kernel call per worker count).
     """
-    slots = len(orders) // len(tables) if tables else 0
+    slots = len(reversed_slots)
     groups: dict[int, list[int]] = {}
     for flat, order in enumerate(orders):
         groups.setdefault(len(order), []).append(flat)
@@ -248,13 +231,13 @@ def _solve_stacked_orders(
         c_matrix, w_matrix, d_matrix = _ordered_costs(
             tables, np.array(flats) // slots, order_matrix
         )
-        reversed_rows = [reversed_returns[flat] for flat in flats] if reversed_returns else []
+        reversed_rows = reversed_slots[np.array(flats) % slots]
         rank2 = None
-        if any(reversed_rows):
+        if reversed_rows.any():
             # sigma2 = reversed(sigma1): position i is collected at rank
             # q-1-i, exactly the scalar build's rank vector.
             identity = np.arange(q)
-            rank2 = np.where(np.array(reversed_rows)[:, None], identity[::-1], identity)
+            rank2 = np.where(reversed_rows[:, None], identity[::-1], identity)
         if one_port:
             a, b = scenario_arrays_batch(c_matrix, w_matrix, d_matrix, rank2=rank2)
         else:
@@ -334,7 +317,7 @@ def prepare_cells(
     keyed_tables: Sequence[tuple[tuple, np.ndarray, np.ndarray, np.ndarray]],
     one_port: bool = True,
     measured: bool = True,
-) -> dict[tuple, PreparedCell] | dict[tuple, TwoPortCell]:
+) -> dict[tuple, PreparedCell]:
     """Prepare a batch of ``(key, c, w, d)`` cost tables for evaluation.
 
     Each table is one scenario cell: a platform's cost vectors at one grid
@@ -354,33 +337,37 @@ def prepare_cells(
     :func:`repro.simulation.executor.measure_heuristic` per cell — the
     public reference path the test-suite pins this engine against.
 
-    ``one_port=False`` dispatches to the two-port chain: the LPs drop the
-    coupling row and run through :mod:`repro.core.batch_twoport`, LIFO
-    becomes LP-backed with a reversed return permutation, and the cells
-    come back as :class:`TwoPortCell` (merge-ordered replay) instead of
-    :class:`PreparedCell` (static-timeline replay) — bit-identical to the
-    scalar :mod:`repro.core.twoport` + ``measure_heuristic(one_port=False)``
-    reference path.
+    The port model selects data only.  One-port cells use
+    :data:`~repro.core.order_rules.ORDER_RULES` plus the closed-form LIFO
+    chain and the one-port kernel.  ``one_port=False`` uses
+    :data:`~repro.core.order_rules.TWO_PORT_ORDER_RULES`, whose LIFO is an
+    LP row, and :mod:`repro.core.batch_twoport`'s kernel without the
+    coupling row — bit-identical to the scalar :mod:`repro.core.twoport` +
+    ``measure_heuristic(one_port=False)`` reference path.  Either way,
+    :data:`~repro.core.order_rules.TWO_PORT_REVERSED_RETURN` names the
+    rows that collect in reverse (one-port LIFO is never an LP row, so
+    its kernel stacks stay all-FIFO), and measured cells share one
+    layout; two-port cells carry no ``kinds``, since their draw order is
+    dynamic.
     """
-    if not one_port:
-        return _prepare_two_port_cells(
-            heuristic_names, reference, total_tasks, keyed_tables, measured
-        )
+    rules = ORDER_RULES if one_port else TWO_PORT_ORDER_RULES
+    known = HEURISTICS if one_port else TWO_PORT_ORDER_RULES
     for name in heuristic_names:
-        if name not in HEURISTICS:
+        if name not in known:
             raise ScheduleError(
-                f"unknown heuristic {name!r}; available: {sorted(HEURISTICS)}"
+                f"unknown {'' if one_port else 'two-port '}heuristic {name!r}; "
+                f"available: {sorted(known)}"
             )
-    lp_names = [name for name in heuristic_names if name in ORDER_RULES]
+    lp_names = [name for name in heuristic_names if name in rules]
     heuristic_count = len(heuristic_names)
 
     tables = _cost_tables(keyed_tables)
     orders = [
-        ORDER_RULES[name](names, c_list, w_list, d_list)
+        rules[name](names, c_list, w_list, d_list)
         for names, _, _, _, c_list, w_list, d_list in tables
         for name in lp_names
     ]
-    loads_rows = _solve_stacked_orders(tables, orders)
+    loads_rows = _solve_stacked_orders(tables, orders, _reversed(lp_names), one_port)
 
     # Every (table, heuristic) pair in flat order: its sigma1 order and its
     # loads, kernel rows and closed-form LIFO rows alike.
@@ -391,7 +378,7 @@ def prepare_cells(
         for name in heuristic_names:
             slot = lp_slots.get(name)
             if slot is None:
-                # The only non-LP heuristic: the closed-form optimal LIFO.
+                # The only non-LP heuristic: the one-port closed-form LIFO.
                 order = sorted_indices(names, c_list)
                 pair_loads.append(lifo_chain_values(c_list, w_list, d_list, order))
             else:
@@ -420,8 +407,8 @@ def prepare_cells(
         if not measured:
             cells[key] = PreparedCell(lp_ratios, reference_time, cell_participants)
             continue
-        kinds = stream_kinds.get(cell_participants)
-        if kinds is None:
+        kinds = stream_kinds.get(cell_participants, ())
+        if one_port and not kinds:
             kinds = stream_kinds[cell_participants] = tuple(
                 kind for p in cell_participants for kind in kind_pattern(p)
             )
@@ -439,19 +426,24 @@ def prepare_cells(
     return cells
 
 
+def _reversed(heuristic_names) -> np.ndarray:
+    """Which heuristics collect in reverse send order (LIFO)."""
+    return np.array([name in TWO_PORT_REVERSED_RETURN for name in heuristic_names], dtype=bool)
+
+
 def _chunk_layout(tables, heuristic_names, pair_orders, participants, rounded):
     """Replay layouts of every (cell, heuristic) pair, as chunk-wide arrays.
 
     One :func:`~repro.simulation.fast_cluster.prepare_measurement_arrays` call
     per worker count lays out all its pairs at once (FIFO pairs collect in
-    ``sigma1`` order, LIFO ones in reverse); the groups are then scattered
-    into flat arrays in pair order.  Pair ``k``'s ``p`` participants take
-    entries ``starts[k]:starts[k + 1]`` of ``sigma2_positions`` and
-    ``senders``, and its ``3p`` operations ``3 * starts[k]:3 * starts[k + 1]``
-    of ``durations``.
+    ``sigma1`` order, LIFO ones in reverse, on either port model); the
+    groups are then scattered into flat arrays in pair order.  Pair ``k``'s
+    ``p`` participants take entries ``starts[k]:starts[k + 1]`` of
+    ``sigma2_positions`` and ``senders``, and its ``3p`` operations
+    ``3 * starts[k]:3 * starts[k + 1]`` of ``durations``.
     """
     heuristic_count = len(heuristic_names)
-    lifo = np.array([name not in ORDER_RULES for name in heuristic_names])
+    lifo = _reversed(heuristic_names)
     starts = np.zeros(len(participants) + 1, dtype=np.intp)
     np.cumsum(participants, out=starts[1:])
     durations = np.empty(3 * starts[-1])
@@ -471,81 +463,3 @@ def _chunk_layout(tables, heuristic_names, pair_orders, participants, rounded):
             )
     return durations, sigma2_positions, senders, starts.tolist()
 
-
-def _prepare_two_port_cells(
-    heuristic_names: Sequence[str],
-    reference: str,
-    total_tasks: int,
-    keyed_tables: Sequence[tuple[tuple, np.ndarray, np.ndarray, np.ndarray]],
-    measured: bool,
-) -> dict[tuple, TwoPortCell]:
-    """Two-port cell preparation (see :func:`prepare_cells`).
-
-    Every heuristic is LP-backed here: the FIFO orderings keep their
-    one-port rules (Theorem 1's permutation does not depend on the
-    coupling row) and LIFO serves by non-decreasing ``c_i`` collecting in
-    reverse — the rules of :mod:`repro.core.twoport`, mirrored at the
-    array level by :data:`~repro.core.order_rules.TWO_PORT_ORDER_RULES`.
-    All the batch's LPs are stacked per worker count into
-    :func:`~repro.core.batch_twoport.solve_two_port_batch` calls.
-    """
-    for name in heuristic_names:
-        if name not in TWO_PORT_ORDER_RULES:
-            raise ScheduleError(
-                f"unknown two-port heuristic {name!r}; "
-                f"available: {sorted(TWO_PORT_ORDER_RULES)}"
-            )
-    heuristic_count = len(heuristic_names)
-
-    tables = _cost_tables(keyed_tables)
-    # Every heuristic is a stacked-LP slot here; LIFO rows get the
-    # reversed return permutation, everything else is FIFO.
-    orders: list[list[int]] = []
-    reversed_returns: list[bool] = []
-    for names, _, _, _, c_list, w_list, d_list in tables:
-        for name in heuristic_names:
-            orders.append(TWO_PORT_ORDER_RULES[name](names, c_list, w_list, d_list))
-            reversed_returns.append(name in TWO_PORT_REVERSED_RETURN)
-    loads_rows = _solve_stacked_orders(
-        tables, orders, reversed_returns=reversed_returns, one_port=False
-    )
-    # Rounding mirrors measure_heuristic's round_values: integer counts
-    # summing to the total, zero-load workers dropped from both sigmas
-    # (reversal and filtering commute).
-    throughputs, participants, rounded = _round_pairs(loads_rows, total_tasks)
-    participants = participants.tolist()
-    pair_counts: list = [None] * len(orders)
-    for flats, counts in rounded:
-        for flat, row in zip(flats.tolist(), counts.tolist()):
-            pair_counts[flat] = row
-
-    cells: dict[tuple, TwoPortCell] = {}
-    for index, ((key, _, _, _), table) in enumerate(zip(keyed_tables, tables)):
-        names, _, _, _, c_list, w_list, d_list = table
-        first = index * heuristic_count
-        prepared: list[PreparedTwoPortRun] = []
-        if measured:
-            costs = np.array((c_list, w_list, d_list))
-            for flat in range(first, first + heuristic_count):
-                order, counts = orders[flat], pair_counts[flat]
-                active = [order[k] for k, count in enumerate(counts) if count > 0]
-                loads = np.array([count for count in counts if count > 0], dtype=float)
-                collect = np.arange(len(active))
-                prepared.append(
-                    PreparedTwoPortRun(
-                        workers=tuple(names[i] for i in active),
-                        durations=costs.take(active, axis=1) * loads,
-                        collect=collect[::-1] if reversed_returns[flat] else collect,
-                    )
-                )
-        reference_time, lp_ratios = _cell_ratios(
-            dict(zip(heuristic_names, throughputs[first : first + heuristic_count])),
-            reference, total_tasks, heuristic_names,
-        )
-        cells[key] = TwoPortCell(
-            lp_ratios=lp_ratios,
-            reference_time=reference_time,
-            participants=tuple(participants[first : first + heuristic_count]),
-            prepared=tuple(prepared),
-        )
-    return cells

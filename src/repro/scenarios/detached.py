@@ -682,6 +682,7 @@ class _LocalWorkers:
 
     Owners are ``w0`` … ``w<N-1>``; ``max_chunks`` is split into
     per-worker claim budgets (a worker whose share is zero never starts).
+    An unbudgeted owner is restarted at most ``max_restarts`` times.
     """
 
     def __init__(
@@ -692,6 +693,7 @@ class _LocalWorkers:
         faults: FaultInjector | None,
         poll: float,
         max_chunks: int | None,
+        max_restarts: int,
     ) -> None:
         methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context("fork" if "fork" in methods else None)
@@ -703,6 +705,7 @@ class _LocalWorkers:
             for slot in range(count)
         }
         self.processes: dict[str, multiprocessing.Process] = {}
+        self.restarts_left = dict.fromkeys(self.budgets, max_restarts)
         for owner, budget in self.budgets.items():
             if budget != 0:
                 self._start(owner)
@@ -717,12 +720,19 @@ class _LocalWorkers:
         process.start()
         self.processes[owner] = process
 
-    def restart(self, owner: str) -> None:
-        """Restart a dead worker; a budgeted one's budget died with it."""
-        if self.budgets[owner] is None:
+    def restart(self, owner: str) -> bool:
+        """Restart a dead worker; ``False`` once its restarts are spent.
+
+        A budgeted worker's budget died with it: it is dropped instead.
+        """
+        if self.budgets[owner] is not None:
+            del self.processes[owner]
+        elif self.restarts_left[owner]:
+            self.restarts_left[owner] -= 1
             self._start(owner)
         else:
-            del self.processes[owner]
+            return False
+        return True
 
     def failed(self) -> list[tuple[str, int]]:
         """``(owner, exit code)`` of every worker that exited non-zero."""
@@ -779,16 +789,19 @@ def run_detached_campaign(
     ``w0`` … ``w<N-1>``, acting out ``faults`` — a
     :class:`~repro.scenarios.fabric.FaultInjector` or its CLI spec) and
     supervises them: one that exits non-zero has its leases expired at
-    once and is restarted under the same owner.  The call returns when
+    once and is restarted under the same owner, at most
+    ``policy.max_attempts`` times; its next death raises
+    :class:`~repro.exceptions.ExperimentError`.  The call returns when
     the plan is complete or every local worker has exited 0.
     ``max_chunks`` is split into the local workers' claim budgets; a
     budgeted worker that dies is not restarted.  With ``workers=0`` the
     workers are external (``scenarios work`` on any machine).
 
     ``wait_timeout`` bounds the observation loop (``None`` waits until
-    complete); on expiry the campaign state is left intact for
-    ``scenarios heal`` or a restarted coordinator, and the error names
-    the store so the hint is copy-pasteable.
+    complete); on expiry, as when a local worker runs out of restarts, the
+    campaign state is left intact for ``scenarios heal`` or a restarted
+    coordinator, and the error names the store so the hint is
+    copy-pasteable.
     """
     if workers < 0:
         raise ExperimentError(f"workers must be non-negative (got {workers})")
@@ -906,11 +919,13 @@ def run_detached_campaign(
 
     local = None
     deadline = None if wait_timeout is None else time.monotonic() + wait_timeout
+    resume = f"scenarios heal {state.spec_path} --store {state.directory.parent}"
     reported = before
     try:
         if workers:
             local = _LocalWorkers(
-                state.directory, spec, workers, faults, policy.poll_interval, max_chunks
+                state.directory, spec, workers, faults, policy.poll_interval, max_chunks,
+                policy.max_attempts,
             )
         while True:
             merged = merge_worker_stores(state)
@@ -935,7 +950,11 @@ def run_detached_campaign(
                     for lease in read_leases(state):
                         if lease.owner == owner and lease.chunk not in durable:
                             expire(lease, fences, f"worker exited {code}")
-                    local.restart(owner)
+                    if not local.restart(owner):
+                        raise ExperimentError(
+                            f"local worker {owner} exited {code} after "
+                            f"{policy.max_attempts} restarts; resume with: {resume}"
+                        )
                 if local.finished:
                     break
             now = time.time()
@@ -956,8 +975,7 @@ def run_detached_campaign(
                 raise ExperimentError(
                     f"detached campaign did not complete within {wait_timeout:.1f}s "
                     f"({len(done)}/{len(chunks)} chunks done); workers may still "
-                    f"be running — resume with: scenarios heal {state.spec_path} "
-                    f"--store {state.directory.parent}"
+                    f"be running — resume with: {resume}"
                 )
             time.sleep(policy.poll_interval)
     finally:

@@ -23,14 +23,15 @@ order the event engine would.  For the one-port program that order is:
    receive loop only starts once every initial message is out, and every
    compute perturbation has been drawn by then).
 
-This module is the one place that knows that order.
-:func:`timeline_indices`, :func:`kind_pattern` and :func:`operation_workers`
-lay a run's ``3q`` operations out in it, so **one** batched
-:func:`~repro.simulation.noise.perturb_sequence` call draws them all, and
-:func:`replay_timelines` replays any number of laid-out runs row-parallel.
-:func:`prepare_measurement_arrays` lays out a whole matrix of rounded load
-rows for the campaigns (:mod:`repro.experiments.campaign_engine`);
-:func:`run_fast_timeline` lays out and replays one run for
+This module is the one place that knows that order, and both replays read
+runs laid out in it.  :func:`timeline_indices`, :func:`kind_pattern` and
+:func:`operation_workers` lay a run's ``3q`` operations out in it, so
+**one** batched :func:`~repro.simulation.noise.perturb_sequence` call
+draws them all, and :func:`replay_timelines` replays any number of
+laid-out runs row-parallel.  :func:`prepare_measurement_arrays` lays out a
+whole matrix of rounded load rows for the campaigns of both port models
+(:mod:`repro.experiments.campaign_engine`); :func:`run_fast_timeline` lays
+out and replays one run for
 :class:`~repro.simulation.cluster.ClusterSimulation`.
 
 Both reproduce makespans and per-worker records *bit-for-bit* (same
@@ -40,7 +41,8 @@ bars but may be ordered differently within equal timestamps.
 
 The two-port program interleaves return transfers with pending sends, so its
 draw order depends on the realised times; :mod:`repro.simulation.fast_twoport`
-replays it by merging the send and receive threads' draws in lockstep.
+replays the same layout by merging the send and receive threads' draws in
+lockstep (its send thread draws in this layout's order, returns aside).
 """
 
 from __future__ import annotations

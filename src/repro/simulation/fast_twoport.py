@@ -13,14 +13,18 @@ in all, from two threads of the discrete-event program
 * the **receive thread**: the returns in ``sigma2`` order, each once its
   worker's ``result_ready`` has fired and the previous return has ended.
 
-So the replay only merges the two threads.  :func:`run_fast_twoport` steps
-all runs of a batch in lockstep over arrays padded to the largest ``q``:
-each of the ``3q`` steps gives every run's next draw to the thread whose
-draw comes first — the earlier draw time; at an exact tie, the thread the
-event engine itself picks (:func:`_return_first`).  Models that pre-draw
-(see :class:`~repro.simulation.noise.NoiseModel`) have each occurrence's
-stream taken up front — a run uses ``3q`` draws, so every run's slice sits
-at a known offset — and each step applies one column of draws.  Other
+The send thread's order is the one-port draw order of
+:mod:`repro.simulation.fast_cluster` without its returns, so a run comes
+in that module's layout: draw ``m`` of the send thread is entry ``m`` of
+the run's durations and return slot ``i`` is entry ``2q + i``.  The replay
+only merges the two threads.  :func:`run_fast_twoport` steps all runs of a
+batch in lockstep over arrays padded to the largest ``q``: each of the
+``3q`` steps gives every run's next draw to the thread whose draw comes
+first — the earlier draw time; at an exact tie, the thread the event
+engine itself picks (:func:`_return_first`).  Models that pre-draw (see
+:class:`~repro.simulation.noise.NoiseModel`) have each occurrence's stream
+taken up front — a run uses ``3q`` draws, so every run's slice sits at its
+durations' offset — and each step applies one column of draws.  Other
 models draw one ``perturb`` call at a time inside the same loop, one run of
 each stream per pass, so every stream is consumed as the serial path
 consumes it.
@@ -36,15 +40,15 @@ runs there; the campaigns batch whole chunks through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from repro.core.order_rules import worker_names
 from repro.core.platform import StarPlatform, Worker
 from repro.simulation.noise import KIND_CODES, NoiseModel, apply_key
 
-__all__ = ["PreparedTwoPortRun", "TwoPortTimes", "run_fast_twoport"]
+__all__ = ["TwoPortTimes", "run_fast_twoport"]
 
 _SEND, _COMPUTE, _RETURN = KIND_CODES["send"], KIND_CODES["compute"], KIND_CODES["return"]
 _KIND_NAMES = sorted(KIND_CODES, key=KIND_CODES.get)
@@ -52,23 +56,9 @@ _KIND_NAMES = sorted(KIND_CODES, key=KIND_CODES.get)
 _LIVE = object()
 
 
-@dataclass(frozen=True)
-class PreparedTwoPortRun:
-    """One two-port run ready for replay.
-
-    ``workers`` is ``sigma1`` restricted to the participants, ``durations``
-    the ``(3, q)`` noise-free send, compute and return durations in that
-    order, ``collect`` the ``workers`` position of each ``sigma2`` slot.
-    """
-
-    workers: tuple[str, ...]
-    durations: np.ndarray
-    collect: np.ndarray
-
-
 class TwoPortTimes(NamedTuple):
     """Event times of a replayed batch, one row per run padded to the
-    largest ``q``: sends and computes by ``workers`` position, returns by
+    largest ``q``: sends and computes by ``sigma1`` position, returns by
     ``sigma2`` slot."""
 
     send_end: np.ndarray
@@ -79,75 +69,81 @@ class TwoPortTimes(NamedTuple):
 
 
 def run_fast_twoport(
-    occurrences: Sequence[tuple[NoiseModel, Sequence[PreparedTwoPortRun]]],
+    occurrences: Sequence[tuple[NoiseModel, np.ndarray, np.ndarray, Sequence[int], Sequence[str]]],
 ) -> TwoPortTimes:
-    """Replay every run of every ``(noise, runs)`` occurrence, in lockstep.
+    """Replay every run of every occurrence, in lockstep.
 
-    Each occurrence's runs draw from its noise stream in order, exactly as
-    if replayed one after the other.  Rows are in (occurrence, run) order.
+    An occurrence ``(noise, durations, sigma2_positions, participants,
+    workers)`` holds one run of ``p`` workers per entry of
+    ``participants``, laid out run after run as by
+    :func:`~repro.simulation.fast_cluster.prepare_measurement_arrays`.
+    ``workers`` names the worker of every duration; only models that do
+    not pre-draw read it.  Each occurrence's runs draw from its noise
+    stream in order, exactly as if replayed one after the other.  Rows are
+    in (occurrence, run) order.
     """
-    runs = [run for _, occurrence_runs in occurrences for run in occurrence_runs]
-    models, draws = [], []
+    sizes = np.array([p for occurrence in occurrences for p in occurrence[3]], dtype=np.intp)
+    durations = np.concatenate([occurrence[1] for occurrence in occurrences])
+    draws = np.zeros(durations.size)
+    models = []
     # Runs replayed together: pre-drawing models by apply_key (one apply
     # per step); a live stream's n-th run in pass n, after the runs before.
     passes: dict = {}
+    drawn = set()
     live_runs: dict[int, int] = {}
-    for noise, occurrence_runs in occurrences:
-        models.extend([noise] * len(occurrence_runs))
+    offset = 0
+    for noise, occurrence_durations, _, participants, _ in occurrences:
+        members = range(len(models), len(models) + len(participants))
+        models.extend([noise] * len(participants))
         if getattr(noise, "predraws", False):
-            lengths = [3 * len(run.workers) for run in occurrence_runs]
-            stream = noise.draw(sum(lengths))
             key = apply_key(noise)
-            offset = 0
-            for length in lengths:
-                draws.append(None if stream is None else stream[offset : offset + length])
-                passes.setdefault(key, []).append(len(draws) - 1)
-                offset += length
+            stream = noise.draw(len(occurrence_durations))
+            if stream is not None:
+                draws[offset : offset + len(occurrence_durations)] = stream
+                drawn.add(key)
+            passes.setdefault(key, []).extend(members)
         else:
-            for run in occurrence_runs:
+            for member in members:
                 number = live_runs[id(noise)] = live_runs.get(id(noise), -1) + 1
-                draws.append(None)
-                passes.setdefault((_LIVE, number), []).append(len(draws) - 1)
+                passes.setdefault((_LIVE, number), []).append(member)
+        offset += len(occurrence_durations)
+    # The worker of every duration, read by live models only.
+    workers = live_runs and [
+        name for _, flat, _, _, names in occurrences for name in names or [None] * len(flat)
+    ]
+    batch = (
+        sizes, np.cumsum(3 * sizes) - 3 * sizes, durations,
+        np.concatenate([occurrence[2] for occurrence in occurrences]), models, workers,
+    )
 
-    sizes = np.array([len(run.workers) for run in runs], dtype=np.intp)
     width = int(sizes.max(initial=0))
-    times = np.empty((4, len(runs), width))
+    times = np.empty((4, len(sizes), width))
     for key, members in passes.items():
         times[:, members] = _replay(
-            [runs[index] for index in members],
-            sizes[members],
-            [models[index] for index in members],
-            [draws[index] for index in members],
-            width,
+            batch, np.array(members), draws if key in drawn else None, width,
             live=key[0] is _LIVE,
         )
-    return TwoPortTimes(*times, makespans=times[3, np.arange(len(runs)), sizes - 1])
+    return TwoPortTimes(*times, makespans=times[3, np.arange(len(sizes)), sizes - 1])
 
 
-def _ragged(lengths: np.ndarray, stride: int) -> np.ndarray:
-    """Flat cells of row-major ragged rows of ``lengths`` in ``(rows, stride)``."""
-    starts = np.cumsum(lengths) - lengths
-    within = np.arange(int(lengths.sum())) - np.repeat(starts, lengths)
-    return np.repeat(np.arange(lengths.size) * stride, lengths) + within
-
-
-def _replay(runs, sizes, models, draws, width: int, live: bool) -> np.ndarray:
-    """One lockstep pass: runs of equal pre-drawing models, or ``live``
-    runs whose models draw one ``perturb`` call at a time.
+def _replay(batch, members: np.ndarray, draws, width: int, live: bool) -> np.ndarray:
+    """One lockstep pass over the ``members`` runs of ``batch``: runs of
+    equal pre-drawing models, or ``live`` runs whose models draw one
+    ``perturb`` call at a time.
 
     Returns ``(send_end, compute_end, return_start, return_end)`` stacked,
-    each ``(len(runs), width)`` in input order.
+    each ``(len(members), width)`` in input order.
     """
-    count = len(runs)
+    sizes, first, flat, sigma2_positions, models, workers = batch
+    count = len(members)
     # Largest q first: the runs still drawing at step t are a prefix.
-    order = np.argsort(-sizes, kind="stable")
-    rows = order.tolist()
-    q = sizes[order]
-    active = np.searchsorted(-3 * q, -np.arange(3 * width)).tolist()
-    flat = np.concatenate([runs[index].durations.ravel() for index in rows])
-    collect = np.zeros(count * width, dtype=np.intp)
-    collect[_ragged(q, width)] = np.concatenate([runs[index].collect for index in rows])
-    collect = collect.reshape(count, width)
+    order = np.argsort(-sizes[members], kind="stable")
+    rows = members[order]
+    q = sizes[rows, None]
+    active = np.searchsorted(-3 * q[:, 0], -np.arange(3 * width)).tolist()
+    first = first[rows, None]
+    # Each run's return slots, padded with its last one.
+    collect = sigma2_positions[first // 3 + np.minimum(np.arange(width), q - 1)]
 
     # ends[:, kind, 1 + x]: end of the send or compute of worker position
     # x, or of the return of sigma2 slot x.  Column 0 is the time before
@@ -162,37 +158,31 @@ def _replay(runs, sizes, models, draws, width: int, live: bool) -> np.ndarray:
     ends[:, _RETURN, 0] = -np.inf
 
     # Candidate draws, indexed by send-thread position m of each row, then
-    # by receive-thread slot i of each row: kind, worker position,
-    # noise-free duration and end cell of each; the cell of a send-thread
-    # draw's time (the previous transfer's end); the cells a return waits on.
+    # by receive-thread slot i of each row: kind, entry of the batch's
+    # durations (m, then 2q + i, past the run's own start) and end cell of
+    # each; the cell of a send-thread draw's time (the previous transfer's
+    # end); the cells a return waits on.
     cells = np.arange(count)[:, None] * stride
     m = np.arange(2 * width + 1)
     k = (m - 1) >> 1
-    is_send = ((m & 1).astype(bool) & (k < q[:, None] - 1)) | (m == 0)
+    is_send = ((m & 1).astype(bool) & (k < q - 1)) | (m == 0)
     send_kind = np.where(is_send, _SEND, _COMPUTE)
-    position = k + is_send
-    first = (np.cumsum(3 * q) - 3 * q)[:, None]
     kinds = np.concatenate((send_kind.ravel(), np.full(count * width, _RETURN)))
-    positions = np.concatenate((position.ravel(), collect.ravel()))
-    send_operation = (first + send_kind * q[:, None] + position).ravel()
-    operations = np.concatenate((send_operation, (first + 2 * q[:, None] + collect).ravel()))
-    durations = flat[np.minimum(operations, flat.size - 1)]
-    send_at = np.where(m < 2 * q[:, None], cells + k + 1, ends_flat.size - 1).ravel()
+    operations = np.minimum(
+        np.concatenate(((first + m).ravel(), (first + 2 * q + np.arange(width)).ravel())),
+        flat.size - 1,
+    )
+    durations = flat[operations]
+    send_at = np.where(m < 2 * q, cells + k + 1, ends_flat.size - 1).ravel()
     unused = np.zeros(send_at.size, dtype=np.intp)
     compute_cell = np.concatenate((unused, (cells + width + 2 + collect).ravel()))
     previous_cell = np.concatenate((unused, (cells + 2 * (width + 1) + np.arange(width)).ravel()))
-    send_target = cells + send_kind * (width + 1) + position + 1
+    send_target = cells + send_kind * (width + 1) + k + is_send + 1
     targets = np.concatenate((send_target.ravel(), previous_cell[send_at.size :] + 1))
     send_rows = np.arange(count) * (2 * width + 1)
     return_rows = np.arange(count) * width + send_at.size
 
-    matrix = None
-    if not live and draws[0] is not None:
-        streams = [draws[index] for index in rows]
-        matrix = np.zeros(count * 3 * width)
-        matrix[_ragged(3 * q, 3 * width)] = np.concatenate(streams)
-        matrix = matrix.reshape(count, 3 * width)
-    drawn = np.zeros((count, 3 * width))  # each row's perturbed durations, in draw order
+    applied = np.zeros((count, 3 * width))  # each row's perturbed durations, in draw order
     collected = np.zeros(count, dtype=np.intp)
     for step in range(3 * width):
         n = active[step]
@@ -207,23 +197,23 @@ def _replay(runs, sizes, models, draws, width: int, live: bool) -> np.ndarray:
         start = np.maximum(previous_end, compute_end)
         take_return = start < send_time
         for row in np.flatnonzero(start == send_time).tolist():
-            take_return[row] = _return_first(runs[rows[row]], drawn[row, :step])
+            take_return[row] = _return_first(collect[row, : q[row, 0]], applied[row, :step])
         chosen = np.where(take_return, ret, send)
         if live:
             values = np.array(
                 [
                     models[index].perturb(
-                        float(durations[operation]), _KIND_NAMES[kinds[operation]],
-                        runs[index].workers[positions[operation]],
+                        float(durations[candidate]), _KIND_NAMES[kinds[candidate]],
+                        workers[operations[candidate]],
                     )
-                    for index, operation in zip(rows, chosen.tolist())
+                    for index, candidate in zip(rows.tolist(), chosen.tolist())
                 ]
             )
         else:
-            column = None if matrix is None else matrix[:n, step]
-            values = models[0].apply(durations[chosen], kinds[chosen], column)
+            column = None if draws is None else draws[first[:n, 0] + step]
+            values = models[rows[0]].apply(durations[chosen], kinds[chosen], column)
         ends_flat[targets[chosen]] = np.minimum(start, send_time) + values
-        drawn[:n, step] = values
+        applied[:n, step] = values
         collected[:n] += take_return
 
     back = np.empty_like(order)
@@ -256,21 +246,24 @@ class _Prefix:
         return value
 
 
-def _return_first(run: PreparedTwoPortRun, durations: np.ndarray) -> bool:
+def _return_first(collect: np.ndarray, durations: np.ndarray) -> bool:
     """Whether a run's next draw, after ``durations``, is a return.
 
-    Breaks an exact tie between the two threads the way the engine does:
-    its scheduler counters depend on the whole event history, so the run
-    is replayed through the discrete-event engine with the same durations
-    (the costs are irrelevant) until it asks for one more draw.
+    ``collect`` holds the run's return slots.  Breaks an exact tie between
+    the two threads the way the engine does: its scheduler counters depend
+    on the whole event history, so the run is replayed through the
+    discrete-event engine with the same durations until it asks for one
+    more draw.  The engine orders events by counter, never by worker name
+    or cost, so canonical names and unit costs stand in for the real ones.
     """
     from repro.simulation.cluster import ClusterSimulation
 
-    platform = StarPlatform(Worker(name=name, c=1.0, w=1.0, d=1.0) for name in run.workers)
+    names = worker_names(len(collect))
+    platform = StarPlatform(Worker(name=name, c=1.0, w=1.0, d=1.0) for name in names)
     simulation = ClusterSimulation(platform, _Prefix(durations), one_port=False, engine="event")
     try:
         simulation.run_assignment(
-            dict.fromkeys(run.workers, 1.0), run.workers, [run.workers[j] for j in run.collect]
+            dict.fromkeys(names, 1.0), names, [names[j] for j in collect.tolist()]
         )
     except _Stop as stop:
         return stop.args == ("return",)

@@ -360,10 +360,12 @@ class TestFabricCommands:
         )
         assert code == 0
         capsys.readouterr()
+        # --wait-timeout bounds local workers too.
         code = main(
             [
                 "scenarios", "run", str(path),
                 "--store", str(store), "--chunk-size", "2", "--workers", "2",
+                "--wait-timeout", "120",
             ]
         )
         assert code == 0

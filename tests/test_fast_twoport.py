@@ -5,7 +5,10 @@ engine *bit for bit* — makespans, per-worker records, trace bars and noise
 draws — under every noise model, including the default campaign noise whose
 draw order couples the send/compute stream with the return stream through
 the realised event times.  The batched lockstep replay is pinned run by run
-against the engine, shared noise streams and exact ties included.
+against the engine, shared noise streams and exact ties included.  Every
+replay input is laid out by
+:func:`~repro.simulation.fast_cluster.prepare_measurement_arrays`, as the
+two-port campaigns lay out their cells.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from conftest import platforms
 from repro.core.platform import StarPlatform, Worker
 from repro.experiments.common import default_noise
 from repro.simulation.cluster import ClusterSimulation, replayed_run
-from repro.simulation.fast_twoport import PreparedTwoPortRun, run_fast_twoport
+from repro.simulation.fast_cluster import operation_workers, prepare_measurement_arrays
+from repro.simulation.fast_twoport import run_fast_twoport
 from repro.simulation.noise import (
     AffineOverhead,
     ComposedNoise,
@@ -35,6 +39,30 @@ _SETTINGS = settings(
 )
 
 
+def _layout(platform, loads, sigma1, sigma2):
+    """One run's replay input, from a one-row ``prepare_measurement_arrays``
+    call: ``(durations, sigma2_positions, participants, workers)``.
+
+    Zero-load workers are dropped, as the campaigns drop them.
+    """
+    costs = [[[getattr(platform[name], cost) for name in sigma1]] for cost in "cwd"]
+    counts = [[float(loads[name]) for name in sigma1]]
+    collect = [[list(sigma1).index(name) for name in sigma2]]
+    ((p, group),) = prepare_measurement_arrays(costs, counts, collect).items()
+    senders = [sigma1[j] for j in group.senders[0].tolist()]
+    positions = group.sigma2_positions[0]
+    return group.durations[0], positions, (p,), operation_workers(senders, positions.tolist())
+
+
+def _occurrence(noise, layouts):
+    """Runs drawing from one noise stream, concatenated as in a campaign cell."""
+    durations, positions, participants, workers = zip(*layouts)
+    return (
+        noise, np.concatenate(durations), np.concatenate(positions),
+        sum(participants, ()), sum(workers, ()),
+    )
+
+
 def _replay_one(platform, loads, sigma1, sigma2, noise, collect_trace=True):
     """One two-port run through the lockstep replay, as a ``ClusterRun``.
 
@@ -42,11 +70,7 @@ def _replay_one(platform, loads, sigma1, sigma2, noise, collect_trace=True):
     """
     if not sigma1:
         return replayed_run(loads, (), (), {}, {}, {}, {}, one_port=False)
-    floats = np.array([float(loads[name]) for name in sigma1])
-    costs = np.array([[platform[name].c, platform[name].w, platform[name].d] for name in sigma1])
-    collect = np.array([list(sigma1).index(name) for name in sigma2], dtype=np.intp)
-    run = PreparedTwoPortRun(tuple(sigma1), floats * costs.T, collect)
-    times = run_fast_twoport([(noise, (run,))])
+    times = run_fast_twoport([_occurrence(noise, [_layout(platform, loads, sigma1, sigma2)])])
     send_end, compute_end = (dict(zip(sigma1, row[0].tolist())) for row in times[:2])
     return_start, return_end = (dict(zip(sigma2, row[0].tolist())) for row in times[2:4])
     return replayed_run(
@@ -207,23 +231,13 @@ _NOISES = {
 }
 
 
-def _prepared(platform, loads, sigma1, sigma2):
-    """The replay input of one assignment (zero-load workers dropped)."""
-    sigma1 = [name for name in sigma1 if loads[name] > 0]
-    sigma2 = [name for name in sigma2 if loads[name] > 0]
-    durations = np.array(
-        [[loads[name] * getattr(platform[name], cost) for name in sigma1] for cost in "cwd"]
-    )
-    collect = np.array([sigma1.index(name) for name in sigma2], dtype=np.intp)
-    return PreparedTwoPortRun(tuple(sigma1), durations, collect)
-
-
 class TestBatchedReplay:
     @_SETTINGS
     @given(st.data(), st.integers(0, 2**31 - 1))
     def test_batch_matches_event_engine_run_by_run(self, data, seed):
-        """Several occurrences in one call, two slots sharing each stream;
-        the occurrences' noise kinds (and so replay passes) may differ."""
+        """Several occurrences in one call, each concatenating two runs that
+        share its stream; the occurrences' noise kinds (and so replay
+        passes) may differ."""
         rng = np.random.default_rng(seed)
         occurrences, expected = [], []
         for number in range(data.draw(st.integers(min_value=2, max_value=4))):
@@ -239,8 +253,8 @@ class TestBatchedReplay:
                 platform, noise=_NOISES[noise_kind](seed + number), one_port=False, engine="event"
             )
             expected.extend(reference.run_assignment(*slot).makespan for slot in slots)
-            runs = [_prepared(platform, *slot) for slot in slots]
-            occurrences.append((_NOISES[noise_kind](seed + number), runs))
+            layouts = [_layout(platform, *slot) for slot in slots]
+            occurrences.append(_occurrence(_NOISES[noise_kind](seed + number), layouts))
         assert run_fast_twoport(occurrences).makespans.tolist() == expected
 
     @pytest.mark.parametrize("q", range(1, 7))
@@ -262,7 +276,9 @@ class TestBatchedReplay:
             "shuffled": [str(name) for name in rng.permutation(sigma1)],
         }[collect]
         batched, event = _Recorder(zero_every), _Recorder(zero_every)
-        times = run_fast_twoport([(batched, [_prepared(platform, loads, sigma1, sigma2)])])
+        times = run_fast_twoport(
+            [_occurrence(batched, [_layout(platform, loads, sigma1, sigma2)])]
+        )
         reference = ClusterSimulation(
             platform, noise=event, one_port=False, engine="event"
         ).run_assignment(loads, sigma1, sigma2)

@@ -6,7 +6,8 @@ sampler and the order-rule mirrors from their homes
 below the scenario subsystem may import from ``repro.scenarios`` at module
 level.  The Figures 10-13 drivers are scenario clients: they import the
 runner inside ``run()``, so importing them (or the registry, or the CLI)
-still loads no scenario module.  The checks run in subprocesses so they
+still loads no scenario module.  The simulation replays sit below the
+campaign engine and load no experiment module.  The checks run in subprocesses so they
 cannot be fooled by modules some earlier test already imported.
 """
 
@@ -38,6 +39,19 @@ def test_lower_layers_do_not_import_scenarios():
         "assert len(factors) == 2\n"
         "polluted = sorted(m for m in sys.modules if m.startswith('repro.scenarios'))\n"
         "assert not polluted, f'lower layers pulled in {polluted}'\n"
+    )
+    subprocess.run([sys.executable, "-c", probe], check=True)
+
+
+def test_replays_load_no_experiment_module():
+    """The replays take plain arrays: the campaign engine feeds them, never
+    the other way round."""
+    probe = (
+        "import sys\n"
+        "import repro.simulation.fast_twoport\n"
+        "import repro.simulation.fast_cluster\n"
+        "polluted = sorted(m for m in sys.modules if m.startswith('repro.experiments'))\n"
+        "assert not polluted, f'the replays pulled in {polluted}'\n"
     )
     subprocess.run([sys.executable, "-c", probe], check=True)
 

@@ -55,6 +55,10 @@ def fast_policy(**overrides):
     return FaultPolicy(**defaults)
 
 
+def _exit_3(*args, **kwargs):
+    raise SystemExit(3)
+
+
 def run_local(spec, store, workers=2, policy=None, **kwargs):
     """A coordinator run with local workers, bounded so a bug cannot hang."""
     return run_detached_campaign(
@@ -305,6 +309,15 @@ class TestLocalWorkerSupervision:
         progress = run_local(spec, tmp_path, workers=1, faults=faults)
         assert progress.finished
         assert store_bytes(tmp_path, spec) == expected
+
+    def test_worker_crashing_on_every_start_stops_the_run(self, tmp_path, monkeypatch):
+        """An unbudgeted worker that dies at every start is restarted
+        ``max_attempts`` times, then the coordinator gives up loudly."""
+        # The fork context inherits the patched module global.
+        monkeypatch.setattr(detached, "work_loop", _exit_3)
+        policy = fast_policy(max_attempts=2)
+        with pytest.raises(ExperimentError, match=r"w0 exited 3 after 2 restarts.*scenarios heal"):
+            run_local(small_spec(), tmp_path, workers=1, policy=policy)
 
     def test_dead_worker_durable_chunk_is_not_fenced(self, tmp_path, monkeypatch):
         """A worker that dies after its append but before the coordinator

@@ -172,8 +172,8 @@ class TestLpOnlyCells:
         def forbidden(*args, **kwargs):
             raise AssertionError("replay material built")
 
+        # Both port models lay their cells out through this one call.
         monkeypatch.setattr(campaign_engine, "prepare_measurement_arrays", forbidden)
-        monkeypatch.setattr(campaign_engine, "PreparedTwoPortRun", forbidden)
 
     @pytest.mark.parametrize("space", ["mega-uniform", "mega-uniform-twoport", "bus-theorem2"])
     def test_lp_only_spaces_build_no_layout(self, monkeypatch, space):
