@@ -15,12 +15,13 @@ make that possible:
 * :func:`lifo_chain_values` — the closed-form optimal one-port LIFO loads,
   operation for operation the computation of
   :func:`repro.core.lifo.lifo_closed_form_loads`;
-* :data:`TWO_PORT_ORDER_RULES` / :data:`TWO_PORT_REVERSED_RETURN` — the
-  *two-port* mirrors (companion report RR-2005-21, see
-  :mod:`repro.core.twoport`): the FIFO rules are unchanged — dropping the
-  coupling constraint does not change Theorem 1's ordering — while LIFO
-  loses its closed form and becomes an LP-backed rule (serve by
-  non-decreasing ``c_i``, collect in reverse order).
+* :data:`TWO_PORT_ORDER_RULES` — the *two-port* mirror (companion report
+  RR-2005-21, see :mod:`repro.core.twoport`): the FIFO rules are
+  unchanged — dropping the coupling constraint does not change Theorem 1's
+  ordering — while LIFO loses its closed form and becomes an LP-backed
+  rule (serve by non-decreasing ``c_i``);
+* :data:`REVERSED_RETURN` — the heuristics that collect in reverse send
+  order, on either port model.
 
 It sits below :mod:`repro.workloads` in the import hierarchy so that the
 workload generators, the campaign engine and the scenario subsystem can
@@ -36,8 +37,8 @@ from repro.core.platform import _RATIO_TOLERANCE
 
 __all__ = [
     "ORDER_RULES",
+    "REVERSED_RETURN",
     "TWO_PORT_ORDER_RULES",
-    "TWO_PORT_REVERSED_RETURN",
     "lifo_chain_values",
     "optimal_fifo_indices",
     "sorted_indices",
@@ -105,10 +106,10 @@ TWO_PORT_ORDER_RULES = {
     "LIFO": lambda names, c, w, d: sorted_indices(names, c),
 }
 
-#: Heuristics whose two-port return order is the *reverse* of the send
-#: order (``sigma2 = reversed(sigma1)``); every other rule is FIFO
-#: (``sigma2 = sigma1``).
-TWO_PORT_REVERSED_RETURN = frozenset({"LIFO"})
+#: Heuristics whose return order is the *reverse* of the send order
+#: (``sigma2 = reversed(sigma1)``) on either port model; every other rule
+#: is FIFO (``sigma2 = sigma1``).
+REVERSED_RETURN = frozenset({"LIFO"})
 
 
 def lifo_chain_values(c, w, d, order, deadline: float = 1.0) -> list[float]:

@@ -46,8 +46,8 @@ from repro.core.batch_twoport import two_port_arrays_batch
 from repro.core.heuristics import HEURISTICS
 from repro.core.order_rules import (
     ORDER_RULES,
+    REVERSED_RETURN,
     TWO_PORT_ORDER_RULES,
-    TWO_PORT_REVERSED_RETURN,
     lifo_chain_values,
     sorted_indices,
     worker_names,
@@ -131,8 +131,11 @@ class PreparedCell:
         batched draw.
 
         The runner draws and replays whole chunks instead; kept for tests
-        and small callers.
+        and small callers.  Two-port cells (no ``kinds``) replay through
+        :func:`replay_two_port`.
         """
+        if not self.kinds:
+            raise ScheduleError("a two-port cell replays through replay_two_port, not measure")
         perturbed = perturb_sequence(noise, self.durations, self.kinds, self.workers(noise))
         return replay_grouped([(0, 0, self, perturbed)], len(self.participants))[0].tolist()
 
@@ -344,20 +347,16 @@ def prepare_cells(
     LP row, and :mod:`repro.core.batch_twoport`'s kernel without the
     coupling row — bit-identical to the scalar :mod:`repro.core.twoport` +
     ``measure_heuristic(one_port=False)`` reference path.  Either way,
-    :data:`~repro.core.order_rules.TWO_PORT_REVERSED_RETURN` names the
+    :data:`~repro.core.order_rules.REVERSED_RETURN` names the
     rows that collect in reverse (one-port LIFO is never an LP row, so
     its kernel stacks stay all-FIFO), and measured cells share one
     layout; two-port cells carry no ``kinds``, since their draw order is
     dynamic.
     """
     rules = ORDER_RULES if one_port else TWO_PORT_ORDER_RULES
-    known = HEURISTICS if one_port else TWO_PORT_ORDER_RULES
     for name in heuristic_names:
-        if name not in known:
-            raise ScheduleError(
-                f"unknown {'' if one_port else 'two-port '}heuristic {name!r}; "
-                f"available: {sorted(known)}"
-            )
+        if name not in HEURISTICS:
+            raise ScheduleError(f"unknown heuristic {name!r}; available: {sorted(HEURISTICS)}")
     lp_names = [name for name in heuristic_names if name in rules]
     heuristic_count = len(heuristic_names)
 
@@ -428,7 +427,7 @@ def prepare_cells(
 
 def _reversed(heuristic_names) -> np.ndarray:
     """Which heuristics collect in reverse send order (LIFO)."""
-    return np.array([name in TWO_PORT_REVERSED_RETURN for name in heuristic_names], dtype=bool)
+    return np.array([name in REVERSED_RETURN for name in heuristic_names], dtype=bool)
 
 
 def _chunk_layout(tables, heuristic_names, pair_orders, participants, rounded):

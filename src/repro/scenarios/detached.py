@@ -682,7 +682,8 @@ class _LocalWorkers:
 
     Owners are ``w0`` … ``w<N-1>``; ``max_chunks`` is split into
     per-worker claim budgets (a worker whose share is zero never starts).
-    An unbudgeted owner is restarted at most ``max_restarts`` times.
+    An unbudgeted owner is restarted at most ``max_restarts`` times in a
+    row without advancing the campaign (see :meth:`restart`).
     """
 
     def __init__(
@@ -697,7 +698,7 @@ class _LocalWorkers:
     ) -> None:
         methods = multiprocessing.get_all_start_methods()
         self._context = multiprocessing.get_context("fork" if "fork" in methods else None)
-        self._args = (str(campaign_dir),)
+        self._directory = campaign_dir
         self._kwargs = dict(faults=faults, poll=poll, spec=spec)
         share, extra = divmod(max_chunks or 0, count)
         self.budgets = {
@@ -705,33 +706,46 @@ class _LocalWorkers:
             for slot in range(count)
         }
         self.processes: dict[str, multiprocessing.Process] = {}
+        self.max_restarts = max_restarts
         self.restarts_left = dict.fromkeys(self.budgets, max_restarts)
+        self.appended_at_start: dict[str, int] = {}
         for owner, budget in self.budgets.items():
             if budget != 0:
                 self._start(owner)
 
+    def _appended(self, owner: str) -> int:
+        """Chunks in ``owner``'s store (read without opening it)."""
+        return len(read_store_progress(worker_directory(self._directory, owner)).ranges)
+
     def _start(self, owner: str) -> None:
+        self.appended_at_start[owner] = self._appended(owner)
         process = self._context.Process(
             target=work_loop,
-            args=self._args,
+            args=(str(self._directory),),
             kwargs=dict(owner=owner, max_chunks=self.budgets[owner], **self._kwargs),
             daemon=True,
         )
         process.start()
         self.processes[owner] = process
 
-    def restart(self, owner: str) -> bool:
+    def restart(self, owner: str, held_lease: bool) -> bool:
         """Restart a dead worker; ``False`` once its restarts are spent.
 
-        A budgeted worker's budget died with it: it is dropped instead.
+        A death that ``held_lease`` (bounded by its chunk's attempts) or
+        appended a chunk since the start refills the owner's restarts; any
+        other death, such as one before every claim, spends one.  A
+        budgeted worker's budget died with it: it is dropped instead.
         """
         if self.budgets[owner] is not None:
             del self.processes[owner]
-        elif self.restarts_left[owner]:
-            self.restarts_left[owner] -= 1
-            self._start(owner)
-        else:
+            return True
+        if held_lease or self._appended(owner) > self.appended_at_start[owner]:
+            self.restarts_left[owner] = self.max_restarts
+        elif not self.restarts_left[owner]:
             return False
+        else:
+            self.restarts_left[owner] -= 1
+        self._start(owner)
         return True
 
     def failed(self) -> list[tuple[str, int]]:
@@ -789,8 +803,9 @@ def run_detached_campaign(
     ``w0`` … ``w<N-1>``, acting out ``faults`` — a
     :class:`~repro.scenarios.fabric.FaultInjector` or its CLI spec) and
     supervises them: one that exits non-zero has its leases expired at
-    once and is restarted under the same owner, at most
-    ``policy.max_attempts`` times; its next death raises
+    once and is restarted under the same owner.  A death that neither held
+    a lease nor appended a chunk counts against the owner; after
+    ``policy.max_attempts`` such restarts in a row, the next such death raises
     :class:`~repro.exceptions.ExperimentError`.  The call returns when
     the plan is complete or every local worker has exited 0.
     ``max_chunks`` is split into the local workers' claim budgets; a
@@ -947,13 +962,15 @@ def run_detached_campaign(
                     logger.warning("local worker died; restarting it", owner=owner, exit=code)
                     fences = read_fences(state)
                     durable = _observed_chunks(state, fences)
-                    for lease in read_leases(state):
-                        if lease.owner == owner and lease.chunk not in durable:
+                    held = [lease for lease in read_leases(state) if lease.owner == owner]
+                    for lease in held:
+                        if lease.chunk not in durable:
                             expire(lease, fences, f"worker exited {code}")
-                    if not local.restart(owner):
+                    if not local.restart(owner, held_lease=bool(held)):
                         raise ExperimentError(
                             f"local worker {owner} exited {code} after "
-                            f"{policy.max_attempts} restarts; resume with: {resume}"
+                            f"{policy.max_attempts} restarts without claiming or "
+                            f"appending a chunk; resume with: {resume}"
                         )
                 if local.finished:
                     break

@@ -82,59 +82,60 @@ def run_fast_twoport(
     stream in order, exactly as if replayed one after the other.  Rows are
     in (occurrence, run) order.
     """
-    sizes = np.array([p for occurrence in occurrences for p in occurrence[3]], dtype=np.intp)
-    durations = np.concatenate([occurrence[1] for occurrence in occurrences])
-    draws = np.zeros(durations.size)
+    noises, runs, positions, counts, names = zip(*occurrences)
+    sizes = np.array([p for participants in counts for p in participants], dtype=np.intp)
+    streams = []
     models = []
     # Runs replayed together: pre-drawing models by apply_key (one apply
     # per step); a live stream's n-th run in pass n, after the runs before.
     passes: dict = {}
     drawn = set()
     live_runs: dict[int, int] = {}
-    offset = 0
-    for noise, occurrence_durations, _, participants, _ in occurrences:
+    for noise, durations, participants in zip(noises, runs, counts):
         members = range(len(models), len(models) + len(participants))
         models.extend([noise] * len(participants))
+        stream = None
         if getattr(noise, "predraws", False):
             key = apply_key(noise)
-            stream = noise.draw(len(occurrence_durations))
+            stream = noise.draw(len(durations))
             if stream is not None:
-                draws[offset : offset + len(occurrence_durations)] = stream
                 drawn.add(key)
             passes.setdefault(key, []).extend(members)
         else:
             for member in members:
                 number = live_runs[id(noise)] = live_runs.get(id(noise), -1) + 1
                 passes.setdefault((_LIVE, number), []).append(member)
-        offset += len(occurrence_durations)
-    # The worker of every duration, read by live models only.
-    workers = live_runs and [
-        name for _, flat, _, _, names in occurrences for name in names or [None] * len(flat)
-    ]
-    batch = (
-        sizes, np.cumsum(3 * sizes) - 3 * sizes, durations,
-        np.concatenate([occurrence[2] for occurrence in occurrences]), models, workers,
-    )
+        streams.append(np.zeros(len(durations)) if stream is None else stream)
+    first = np.cumsum(3 * sizes) - 3 * sizes
+    flat, sigma2_positions, draws = map(np.concatenate, (runs, positions, streams))
+    workers = None
+    if live_runs:
+        # The worker of every duration, read by live models only.
+        workers = [name for run, given in zip(runs, names) for name in given or [None] * len(run)]
 
     width = int(sizes.max(initial=0))
     times = np.empty((4, len(sizes), width))
     for key, members in passes.items():
         times[:, members] = _replay(
-            batch, np.array(members), draws if key in drawn else None, width,
-            live=key[0] is _LIVE,
+            np.array(members), draws if key in drawn else None, width,
+            key[0] is _LIVE, sizes, first, flat, sigma2_positions, models, workers,
         )
     return TwoPortTimes(*times, makespans=times[3, np.arange(len(sizes)), sizes - 1])
 
 
-def _replay(batch, members: np.ndarray, draws, width: int, live: bool) -> np.ndarray:
-    """One lockstep pass over the ``members`` runs of ``batch``: runs of
+def _replay(
+    members, draws, width: int, live: bool, sizes, first, flat, sigma2_positions, models, workers
+) -> np.ndarray:
+    """One lockstep pass over the ``members`` runs of a batch: runs of
     equal pre-drawing models, or ``live`` runs whose models draw one
     ``perturb`` call at a time.
 
+    ``sizes`` and ``first`` hold every run's ``q`` and first entry of the
+    concatenated ``flat`` durations; ``models`` every run's noise model and
+    ``workers`` the worker of every duration (``None`` without live runs).
     Returns ``(send_end, compute_end, return_start, return_end)`` stacked,
     each ``(len(members), width)`` in input order.
     """
-    sizes, first, flat, sigma2_positions, models, workers = batch
     count = len(members)
     # Largest q first: the runs still drawing at step t are a prefix.
     order = np.argsort(-sizes[members], kind="stable")

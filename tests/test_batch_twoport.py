@@ -25,8 +25,8 @@ from repro.core.batch_twoport import (
 )
 from repro.core.fast_scenario import scenario_arrays, solve_scenario_fast
 from repro.core.order_rules import (
+    REVERSED_RETURN,
     TWO_PORT_ORDER_RULES,
-    TWO_PORT_REVERSED_RETURN,
     worker_names,
 )
 from repro.core.twoport import (
@@ -71,7 +71,7 @@ class TestKernelBitIdentity:
         names = worker_names(c.shape[1])
         q = len(names)
         for heuristic, rule in TWO_PORT_ORDER_RULES.items():
-            reversed_return = heuristic in TWO_PORT_REVERSED_RETURN
+            reversed_return = heuristic in REVERSED_RETURN
             c_matrix = np.empty((COUNT, q))
             w_matrix = np.empty((COUNT, q))
             d_matrix = np.empty((COUNT, q))

@@ -59,6 +59,15 @@ def _exit_3(*args, **kwargs):
     raise SystemExit(3)
 
 
+_work_loop = detached.work_loop
+
+
+def _one_chunk_then_exit_3(*args, **kwargs):
+    """A worker that appends one chunk, releases it, then dies."""
+    _work_loop(*args, **{**kwargs, "max_chunks": 1})
+    raise SystemExit(3)
+
+
 def run_local(spec, store, workers=2, policy=None, **kwargs):
     """A coordinator run with local workers, bounded so a bug cannot hang."""
     return run_detached_campaign(
@@ -318,6 +327,29 @@ class TestLocalWorkerSupervision:
         policy = fast_policy(max_attempts=2)
         with pytest.raises(ExperimentError, match=r"w0 exited 3 after 2 restarts.*scenarios heal"):
             run_local(small_spec(), tmp_path, workers=1, policy=policy)
+
+    def test_worker_crashing_on_many_chunks_converges(self, tmp_path, reference):
+        """Deaths while holding a lease spend their chunks' attempts, not
+        the owner's restarts: one worker crashing on more chunks than
+        ``max_attempts`` still finishes the campaign."""
+        spec, expected, _ = reference
+        policy = fast_policy(max_attempts=2)
+        progress = run_local(
+            spec, tmp_path, workers=1, policy=policy,
+            faults="crash-pre@0,crash-pre@1,crash-pre@2",
+        )
+        assert progress.finished
+        assert progress.expired_leases == 3
+        assert store_bytes(tmp_path, spec) == expected
+
+    def test_worker_dying_after_each_append_converges(self, tmp_path, monkeypatch, reference):
+        """A death after an append (no lease left) made progress: it
+        refills the owner's restarts instead of spending one."""
+        spec, expected, _ = reference
+        monkeypatch.setattr(detached, "work_loop", _one_chunk_then_exit_3)
+        progress = run_local(spec, tmp_path, workers=1, policy=fast_policy(max_attempts=1))
+        assert progress.finished
+        assert store_bytes(tmp_path, spec) == expected
 
     def test_dead_worker_durable_chunk_is_not_fenced(self, tmp_path, monkeypatch):
         """A worker that dies after its append but before the coordinator

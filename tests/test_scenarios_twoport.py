@@ -223,12 +223,21 @@ class TestReferenceParity:
             )
 
     def test_prepare_cells_rejects_unknown_heuristic(self):
-        with pytest.raises(Exception, match="unknown two-port heuristic"):
+        with pytest.raises(Exception, match="unknown heuristic 'NOPE'"):
             prepare_cells(
                 ("NOPE",), "NOPE", 1000,
                 [(("k",), np.array([1.0]), np.array([1.0]), np.array([1.0]))],
                 one_port=False,
             )
+
+    def test_two_port_cell_refuses_one_port_measure(self):
+        """A two-port cell has no fixed draw order: ``measure`` (the
+        one-port batched draw) must refuse it instead of replaying garbage."""
+        table = (("k",), np.array([1.0, 2.0]), np.array([3.0, 4.0]), np.array([0.5, 0.5]))
+        cell = prepare_cells(("INC_C", "LIFO"), "INC_C", 1000, [table], one_port=False)[("k",)]
+        assert cell.kinds == ()
+        with pytest.raises(Exception, match="replay_two_port"):
+            cell.measure(default_noise(seed=1))
 
 
 class TestResumeSemantics:
